@@ -28,7 +28,6 @@
 #include "core/estimator.h"
 #include "core/nips_ci_ensemble.h"
 #include "core/sliding.h"
-#include "parallel/sharded_nips_ci.h"
 #include "util/random.h"
 
 namespace implistat {
@@ -60,13 +59,6 @@ std::vector<KindSpec> AllKinds() {
   kinds.push_back({"nips_ci", [] {
                      return std::make_unique<NipsCi>(BenchConditions(),
                                                      EnsembleOptions());
-                   }});
-  kinds.push_back({"sharded_nips_ci_t4", [] {
-                     ShardedNipsCiOptions opts;
-                     opts.threads = 4;
-                     opts.ensemble = EnsembleOptions();
-                     return std::make_unique<ShardedNipsCi>(BenchConditions(),
-                                                            opts);
                    }});
   kinds.push_back({"sliding_nips_ci", [] {
                      SlidingOptions opts;
@@ -134,8 +126,8 @@ int main(int argc, char** argv) {
   std::printf("n=%llu tuples, trials=%d\n\n",
               static_cast<unsigned long long>(n), trials);
 
-  // Same workload family as parallel_scaling: half loyal itemsets (one
-  // b forever), half violators (random b), 200k distinct itemsets.
+  // Half loyal itemsets (one b forever), half violators (random b),
+  // 200k distinct itemsets.
   Rng workload_rng(99);
   std::vector<ItemsetPair> tuples;
   tuples.reserve(n);

@@ -16,7 +16,6 @@
 #include "baseline/sticky_sampling.h"
 #include "core/nips_ci_ensemble.h"
 #include "hash/hash_family.h"
-#include "parallel/sharded_nips_ci.h"
 #include "sketch/fm_sketch.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/linear_counting.h"
@@ -107,31 +106,6 @@ void BM_NipsCiObserveBatch(benchmark::State& state) {
   state.counters["memory_bytes"] = static_cast<double>(memory);
 }
 BENCHMARK(BM_NipsCiObserveBatch)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// The full parallel pipeline at 2 workers — on a multi-core host this
-// should beat BM_NipsCiObserveBatch; on one core it prices the
-// router/queue overhead.
-void BM_ShardedNipsCi(benchmark::State& state) {
-  auto pairs = MakeTuples(state.range(0));
-  std::vector<ItemsetPair> tuples;
-  tuples.reserve(pairs.size());
-  for (const auto& [a, b] : pairs) tuples.push_back(ItemsetPair{a, b});
-  constexpr size_t kSpan = 4096;
-  for (auto _ : state) {
-    ShardedNipsCiOptions opts;
-    opts.threads = 2;
-    opts.ensemble.seed = 3;
-    ShardedNipsCi estimator(BenchConditions(), opts);
-    std::span<const ItemsetPair> all(tuples);
-    for (size_t i = 0; i < all.size(); i += kSpan) {
-      estimator.ObserveBatch(all.subspan(i, std::min(kSpan, all.size() - i)));
-    }
-    benchmark::DoNotOptimize(estimator.EstimateImplicationCount());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(tuples.size()));
-}
-BENCHMARK(BM_ShardedNipsCi)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_Exact(benchmark::State& state) {
   RunEstimatorBenchmark(state, [] {

@@ -42,10 +42,6 @@ int Usage(const char* argv0) {
       << "usage: " << argv0
       << " [options] <file.csv|-> \"QUERY\" ...\n\n"
       << "options:\n"
-      << "  --threads N           parallel ingest for NIPS estimators: a\n"
-      << "                        sharded pipeline with N worker threads\n"
-      << "                        (bit-identical results; ignored by exact\n"
-      << "                        baselines and windowed queries)\n"
       << "  --checkpoint PATH     write an atomic engine checkpoint to PATH\n"
       << "                        after the stream (and during it with\n"
       << "                        --checkpoint-every)\n"
@@ -86,7 +82,6 @@ bool WriteFile(const std::string& path, const std::string& contents,
 int main(int argc, char** argv) {
   using namespace implistat;
 
-  int threads = 1;
   std::string checkpoint_path;
   uint64_t checkpoint_every = 0;
   std::string restore_path;
@@ -105,15 +100,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--threads") {
-      const char* v = take_value("--threads");
-      if (v == nullptr) return 2;
-      threads = std::atoi(v);
-      if (threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        return 2;
-      }
-    } else if (arg == "--checkpoint") {
+    if (arg == "--checkpoint") {
       const char* v = take_value("--checkpoint");
       if (v == nullptr) return 2;
       checkpoint_path = v;
@@ -245,7 +232,6 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    spec->estimator.threads = threads;
     auto id = engine.Register(std::move(spec).value());
     if (!id.ok()) {
       std::cerr << "register error in query " << i << ": " << id.status()

@@ -42,7 +42,6 @@ int Usage(const char* argv0) {
       << "  --port N              TCP port (default 0 = ephemeral; the\n"
       << "                        bound port prints to stdout)\n"
       << "  --bind ADDR           bind address (default 127.0.0.1)\n"
-      << "  --threads N           parallel ingest threads for NIPS queries\n"
       << "  --reactors N          epoll reactor threads serving\n"
       << "                        connections (default 1; the engine\n"
       << "                        still applies on exactly one thread)\n"
@@ -76,7 +75,6 @@ int main(int argc, char** argv) {
 
   int port = 0;
   std::string bind_address = "127.0.0.1";
-  int threads = 1;
   int reactors = 1;
   int pipeline_depth = 128;
   std::string checkpoint_path;
@@ -104,10 +102,6 @@ int main(int argc, char** argv) {
       const char* v = take_value("--bind");
       if (v == nullptr) return 2;
       bind_address = v;
-    } else if (arg == "--threads") {
-      const char* v = take_value("--threads");
-      if (v == nullptr) return 2;
-      threads = std::atoi(v);
     } else if (arg == "--reactors") {
       const char* v = take_value("--reactors");
       if (v == nullptr) return 2;
@@ -243,7 +237,6 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    spec->estimator.threads = threads;
     auto id = engine.Register(std::move(spec).value());
     if (!id.ok()) {
       std::cerr << "register error in query " << i << ": " << id.status()

@@ -15,12 +15,13 @@
 //                                                           destination)
 //   exclusive dests      S(Destination → Source, K = 1)  — §1's statistic
 //
-// all in NIPS/CI's bounded memory, no per-flow state.
+// all in NIPS/CI's bounded memory, no per-flow state. The DDoS alert is a
+// CREATE TRIGGER rule (DESIGN.md §12) evaluated at every window boundary.
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
-#include "core/nips_ci_ensemble.h"
-#include "core/trigger.h"
 #include "datagen/netflow_gen.h"
 #include "query/engine.h"
 
@@ -84,16 +85,25 @@ int main() {
   const ImplicationEstimator* src_est = engine.Estimator(src_query).value();
 
   // Trigger rule (§2: "associate triggers when implication counts exceed
-  // certain thresholds"): the new-single-dest-source rate jumping to 3x
-  // its trailing median means a spoofed-source flood. The median absorbs
-  // the FM estimator's staircase noise.
-  TriggerSet triggers(src_est, kWindow);
-  triggers.AddRateRule("spoofed-source flood (DDoS)", 3.0, 5000.0);
+  // certain thresholds"): a spoofed-source flood adds tens of thousands
+  // of new single-destination sources per window. The absolute floor
+  // stays above the FM estimator's staircase noise; the relative term
+  // (a quarter of the trailing moving average of S) keeps the warm-up
+  // windows, where S grows fast from nothing, from alarming.
+  const std::string rule =
+      "CREATE TRIGGER ddos ON src"
+      " WHEN DELTA(src) > 20000 AND DELTA(src) > 0.25 * MOVING_AVG(src, 4)"
+      " EVERY 50000 TUPLES";
+  StatusOr<std::string> installed = engine.InstallTrigger(rule);
+  if (!installed.ok()) {
+    std::fprintf(stderr, "%s\n",
+                 std::string(installed.status().message()).c_str());
+    return EXIT_FAILURE;
+  }
 
   double prev_s = 0, prev_ns = 0;
   for (uint64_t i = 0; i < kTotal; ++i) {
     engine.ObserveTuple(*gen.Next());
-    triggers.Tick();
     if ((i + 1) % kWindow != 0) continue;
 
     double s = engine.Answer(src_query).value();
@@ -102,9 +112,9 @@ int main() {
     std::printf("%9llu %13.0f %8.0f %13.0f %8.0f %13.0f   ",
                 static_cast<unsigned long long>(i + 1), s, s - prev_s, ns,
                 ns - prev_ns, excl);
-    for (const TriggerEvent& event : triggers.TakeEvents()) {
-      std::printf("ALERT: %s suspected (+%.0f vs median %.0f)",
-                  event.rule.c_str(), event.value, event.reference);
+    for (const cql::TriggerFiring& firing : engine.TakeTriggerFirings()) {
+      std::printf("ALERT: %s (spoofed-source flood suspected)",
+                  firing.trigger.c_str());
     }
     std::printf("\n");
     prev_s = s;

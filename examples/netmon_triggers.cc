@@ -1,6 +1,5 @@
-// netmon_triggers: the netmon incident monitor rebuilt on the compiled
-// trigger language (DESIGN.md §13) instead of hand-wired TriggerSet
-// rules.
+// netmon_triggers: a self-checking variant of the netmon incident
+// monitor on the compiled trigger language (DESIGN.md §12).
 //
 // Same story as netmon: during a DDoS the spoofed-source population
 // makes the implication count S(Source → Destination, K = 1) jump by

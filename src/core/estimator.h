@@ -94,7 +94,7 @@ class ImplicationEstimator {
   /// Folds another estimator's state into this one, as if this estimator
   /// had also observed the other's stream. Implementations accept any
   /// `other` whose SerializeState produces a compatible snapshot (e.g.
-  /// sharded and sequential NIPS/CI merge freely). On failure this
+  /// an instrumented NIPS/CI merges into a bare one). On failure this
   /// estimator is unchanged.
   virtual Status MergeFrom(const ImplicationEstimator& other) {
     (void)other;

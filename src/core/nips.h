@@ -64,9 +64,9 @@ class Nips {
   void ObserveAt(int cell, ItemsetKey a, ItemsetKey b);
 
   /// Cache hint that `cell`'s slot is about to be touched by ObserveAt.
-  /// The batched ingest paths (NipsCi::ObserveBatch, the shard workers of
-  /// src/parallel) issue these a few records ahead so the cell loads of a
-  /// batch overlap instead of serializing on misses.
+  /// The batched ingest path (NipsCi::ObserveBatch) issues these a few
+  /// records ahead so the cell loads of a batch overlap instead of
+  /// serializing on misses.
   void PrefetchCell(int cell) const {
     if (cell >= options_.bitmap_bits) cell = options_.bitmap_bits - 1;
     __builtin_prefetch(&cells_[static_cast<size_t>(cell)], /*rw=*/1,

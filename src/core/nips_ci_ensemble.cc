@@ -268,8 +268,8 @@ Status NipsCi::MergeFrom(const ImplicationEstimator& other) {
   if (const auto* nips = dynamic_cast<const NipsCi*>(&other)) {
     return Merge(*nips);
   }
-  // Anything else that snapshots as a NIPS/CI ensemble — the sharded
-  // pipeline, instrumented wrappers — merges through the wire contract.
+  // Anything else that snapshots as a NIPS/CI ensemble — an
+  // instrumented wrapper — merges through the wire contract.
   IMPLISTAT_ASSIGN_OR_RETURN(std::string snapshot, other.SerializeState());
   IMPLISTAT_ASSIGN_OR_RETURN(std::string_view payload,
                              UnwrapSnapshot(snapshot, SnapshotKind::kNipsCi));

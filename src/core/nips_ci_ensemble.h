@@ -47,30 +47,6 @@ class NipsCi final : public ImplicationEstimator {
   /// latency histogram skips batch-fed tuples.
   void ObserveBatch(std::span<const ItemsetPair> batch) override;
 
-  /// Where a key lands: which bitmap of the ensemble (the §4.5 stochastic-
-  /// averaging routing bits) and which cell of that bitmap (p() of the
-  /// remaining bits). Exposed so an external ingest layer can hash once on
-  /// a router thread and apply the observation elsewhere — this struct and
-  /// ObserveRouted are the entire contract between NipsCi and the sharded
-  /// pipeline in src/parallel/sharded_nips_ci.h.
-  struct Route {
-    uint32_t bitmap;
-    int32_t cell;
-  };
-  Route RouteOf(ItemsetKey a) const {
-    uint64_t h = hasher_->Hash(a);
-    return Route{static_cast<uint32_t>(h & (bitmaps_.size() - 1)),
-                 static_cast<int32_t>(RhoLsb(h >> route_bits_))};
-  }
-
-  /// Applies one pre-routed observation. Does NOT count toward the ingest
-  /// metrics (the routing layer owns tuple accounting). Concurrent calls
-  /// are safe if and only if no two threads ever touch the same bitmap —
-  /// the disjoint-shard guarantee ShardedNipsCi maintains.
-  void ObserveRouted(Route route, ItemsetKey a, ItemsetKey b) {
-    bitmaps_[route.bitmap].ObserveAt(route.cell, a, b);
-  }
-
   double EstimateImplicationCount() const override;
   double EstimateNonImplicationCount() const override;
   double EstimateSupportedDistinct() const override;
@@ -90,15 +66,10 @@ class NipsCi final : public ImplicationEstimator {
   /// events into the global metrics registry. Observe() stays atomic-free:
   /// it counts into a plain member and this drains it at read boundaries
   /// (Estimate / Serialize / MemoryBytes / TrackedItemsets all call it),
-  /// so any snapshot taken after an estimate is exact.
-  ///
-  /// Thread contract (quiesce-before-read): despite being const, this —
-  /// and therefore every read accessor above — mutates unsynchronized
-  /// bookkeeping and walks the bitmaps. It must never run concurrently
-  /// with ObserveRouted/ObserveAt on any bitmap of this ensemble. Parallel
-  /// ingest must drain its queues and barrier its workers first;
-  /// ShardedNipsCi enforces exactly that before touching these reads (see
-  /// src/parallel/sharded_nips_ci.h).
+  /// so any snapshot taken after an estimate is exact. Despite being
+  /// const, this — and therefore every read accessor above — mutates
+  /// unsynchronized bookkeeping, so like any other member it needs the
+  /// caller's exclusive access to the estimator.
   void FlushMetrics() const;
 
   /// Folds another node's ensemble into this one. Both must be configured
@@ -119,8 +90,7 @@ class NipsCi final : public ImplicationEstimator {
   /// Durable-state contract (core/estimator.h): Serialize/Deserialize/
   /// Merge behind the kNipsCi snapshot envelope. MergeFrom accepts any
   /// estimator whose snapshot is a hash-compatible NIPS/CI ensemble —
-  /// notably ShardedNipsCi, whose snapshots are interchangeable with
-  /// sequential ones.
+  /// a NipsCi, or one wrapped for instrumentation.
   StatusOr<std::string> SerializeState() const override;
   Status RestoreState(std::string_view snapshot) override;
   Status MergeFrom(const ImplicationEstimator& other) override;
@@ -166,10 +136,22 @@ class NipsCi final : public ImplicationEstimator {
 
   // NoteSnapshotEpoch/SerializeDelta are const in the estimator contract
   // (serving a snapshot is logically read-only); the mark bookkeeping is
-  // their mutable side effect, same discipline as FlushMetrics. Subject
-  // to the same quiesce-before-read thread contract.
+  // their mutable side effect, same discipline as FlushMetrics.
   void RecordDeltaMark(uint64_t epoch);
   const DeltaMark* FindDeltaMark(uint64_t epoch) const;
+
+  // Where a key lands: which bitmap of the ensemble (the §4.5 stochastic-
+  // averaging routing bits) and which cell of that bitmap (p() of the
+  // remaining bits).
+  struct Route {
+    uint32_t bitmap;
+    int32_t cell;
+  };
+  Route RouteOf(ItemsetKey a) const {
+    uint64_t h = hasher_->Hash(a);
+    return Route{static_cast<uint32_t>(h & (bitmaps_.size() - 1)),
+                 static_cast<int32_t>(RhoLsb(h >> route_bits_))};
+  }
 
   void ObserveImpl(ItemsetKey a, ItemsetKey b);
   // Cold 1-in-1024 path: flushes the batched tuple count and times the

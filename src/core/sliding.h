@@ -137,7 +137,7 @@ class SlidingNipsCiEstimator final : public ImplicationEstimator {
 
   /// Delta contract (core/estimator.h). The const_casts mirror NipsCi:
   /// serving a delta is logically read-only, the baseline bookkeeping is
-  /// its mutable side effect (quiesce-before-read still applies).
+  /// its mutable side effect.
   StatusOr<std::string> SerializeDelta(uint64_t since_epoch,
                                        uint64_t current_epoch) const override {
     return const_cast<SlidingNipsCi&>(sliding_).SerializeDelta(since_epoch,

@@ -103,11 +103,16 @@ class Parser {
                               "trigger parse error");
   }
   Status Expected(std::string_view what) {
-    std::string got = Peek().kind == TokenKind::kEnd
-                          ? "end of input"
-                          : "'" + std::string(Peek().text) + "'";
-    return Fail(Peek().span,
-                "expected " + std::string(what) + ", found " + got);
+    // Built with append: GCC 12 at -O3 misreports `"'" + std::string(...)`
+    // as an overlapping memcpy (-Werror=restrict).
+    std::string message = "expected ";
+    message.append(what).append(", found ");
+    if (Peek().kind == TokenKind::kEnd) {
+      message.append("end of input");
+    } else {
+      message.append("'").append(Peek().text).append("'");
+    }
+    return Fail(Peek().span, std::move(message));
   }
 
   StatusOr<std::string> ConsumeName(std::string_view what) {

@@ -1,4 +1,4 @@
-// Pratt parser for trigger rules (grammar in DESIGN.md §13).
+// Pratt parser for trigger rules (grammar in DESIGN.md §12).
 //
 // ParseCreateTrigger compiles one statement's worth of tokens into a
 // TriggerDecl AST. Errors come back as InvalidArgument whose message is

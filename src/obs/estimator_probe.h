@@ -12,7 +12,6 @@
 #include "core/nips_ci_ensemble.h"
 #include "obs/instrumented_estimator.h"
 #include "obs/progress.h"
-#include "parallel/sharded_nips_ci.h"
 
 namespace implistat::obs {
 
@@ -23,14 +22,7 @@ inline ProgressStats ProbeEstimator(const ImplicationEstimator& estimator) {
   stats.non_implication = est->EstimateNonImplicationCount();
   stats.memory_bytes = est->MemoryBytes();
   stats.has_estimates = true;
-  const NipsCi* nips = dynamic_cast<const NipsCi*>(est);
-  if (const auto* sharded = dynamic_cast<const ShardedNipsCi*>(est)) {
-    // Probing quiesces the parallel pipeline (ensemble() drains), so pick
-    // a coarse progress cadence when combining --threads with
-    // --metrics-every.
-    nips = &sharded->ensemble();
-  }
-  if (nips != nullptr) {
+  if (const auto* nips = dynamic_cast<const NipsCi*>(est)) {
     stats.tracked_itemsets = nips->TrackedItemsets();
     stats.itemset_budget =
         static_cast<size_t>(nips->num_bitmaps()) *

@@ -117,14 +117,6 @@ StatusOr<QueryId> QueryEngine::RegisterSql(
 }
 
 StatusOr<QueryId> QueryEngine::Register(ImplicationQuerySpec spec) {
-  return RegisterInternal(std::move(spec),
-                          /*force_new_synopsis=*/!options_.query_sharing,
-                          /*check_label=*/true);
-}
-
-StatusOr<QueryId> QueryEngine::RegisterInternal(ImplicationQuerySpec spec,
-                                                bool force_new_synopsis,
-                                                bool check_label) {
   if (spec.a_attributes.empty()) {
     return Status::InvalidArgument("query needs at least one A attribute");
   }
@@ -146,7 +138,7 @@ StatusOr<QueryId> QueryEngine::RegisterInternal(ImplicationQuerySpec spec,
         "complement queries need an estimator that answers ~S "
         "(NIPS/CI, Exact or DS)");
   }
-  if (check_label && !spec.label.empty()) {
+  if (!spec.label.empty()) {
     for (const RegisteredQuery& query : queries_) {
       if (query.active && query.spec.label == spec.label) {
         return Status::AlreadyExists(
@@ -156,7 +148,7 @@ StatusOr<QueryId> QueryEngine::RegisterInternal(ImplicationQuerySpec spec,
   }
 
   RegisteredQuery query;
-  if (!force_new_synopsis) {
+  if (options_.query_sharing) {
     // Exact-key hit: an existing synopsis already maintains precisely
     // this statistic — bind to it and skip the allocation entirely.
     const std::string key = CanonicalSynopsisKey(
@@ -248,9 +240,9 @@ Status QueryEngine::ObserveStream(TupleStream& stream) {
   }
   // Batched drain: per-synopsis pair buffers feed the estimators through
   // ObserveBatch, amortizing the virtual dispatch and enabling the
-  // NipsCi/ShardedNipsCi fast paths. Each estimator still sees its
-  // elements in exact stream order, so answers are identical to the
-  // per-tuple ObserveTuple path.
+  // NipsCi fast path. Each estimator still sees its elements in exact
+  // stream order, so answers are identical to the per-tuple ObserveTuple
+  // path.
   constexpr size_t kBatch = 256;
   std::vector<SynopsisEntry>& entries = store_.entries();
   std::vector<std::vector<ItemsetPair>> pending(entries.size());
@@ -429,13 +421,8 @@ Status QueryEngine::MergeEstimatorState(QueryId id,
         "derived queries own no synopsis to merge into");
   }
   SynopsisEntry& entry = store_.entry(query.synopsis);
-  // Decode into a sequential twin built from the same config: cheap to
-  // construct, and sharded/sequential snapshots are interchangeable, so a
-  // threads=1 twin accepts either without spinning up a pipeline.
-  EstimatorConfig twin_config = entry.config;
-  twin_config.threads = 1;
   IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> twin,
-                             MakeEstimator(entry.conditions, twin_config));
+                             MakeEstimator(entry.conditions, entry.config));
   IMPLISTAT_RETURN_NOT_OK(twin->RestoreState(snapshot));
   // MergeFrom leaves the target untouched on failure (estimator
   // contract), so a bad snapshot never half-mutates the live synopsis.
@@ -460,15 +447,13 @@ Status QueryEngine::RefoldSynopsisState(
   }
   SynopsisEntry& entry = store_.entry(id);
   // Build the replacement from the synopsis config so the refolded
-  // estimator keeps its ingest shape (threads, window), then fold each
-  // snapshot through a sequential twin exactly like MergeEstimatorState.
+  // estimator keeps its shape (e.g. its window), then fold each snapshot
+  // through a twin exactly like MergeEstimatorState.
   IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> fresh,
                              MakeEstimator(entry.conditions, entry.config));
-  EstimatorConfig twin_config = entry.config;
-  twin_config.threads = 1;
   for (std::string_view snapshot : snapshots) {
     IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> twin,
-                               MakeEstimator(entry.conditions, twin_config));
+                               MakeEstimator(entry.conditions, entry.config));
     IMPLISTAT_RETURN_NOT_OK(twin->RestoreState(snapshot));
     IMPLISTAT_RETURN_NOT_OK(fresh->MergeFrom(*twin));
   }
@@ -630,8 +615,8 @@ StatusOr<std::string> QueryEngine::SerializeState() const {
   payload.PutVarint64(queries_.size());
   for (const RegisteredQuery& query : queries_) {
     query.spec.SerializeTo(&payload);
-    // allow_derived postdates the frozen v1 spec format, so it rides in
-    // the container's flag byte instead.
+    // allow_derived is not part of the spec format; it rides in the
+    // record's flag byte.
     uint8_t flags = 0;
     if (query.active) flags |= kFlagActive;
     if (query.spec.allow_derived) flags |= kFlagAllowDerived;
@@ -648,10 +633,9 @@ StatusOr<std::string> QueryEngine::SerializeState() const {
       payload.PutVarint64(static_cast<uint64_t>(query.synopsis));
     }
   }
-  // Armed-trigger section: optional, so trigger-free checkpoints stay
-  // byte-identical to the pre-trigger format (and restorable by older
-  // readers). Nested kTriggerStore envelope — its own version byte and
-  // CRC make the blob independently checkable.
+  // Armed-trigger section: optional, present only when a trigger is
+  // armed. Nested kTriggerStore envelope — its own version byte and CRC
+  // make the blob independently checkable.
   if (triggers_ != nullptr && triggers_->num_triggers() > 0) {
     ByteWriter trigger_payload;
     triggers_->SerializeTo(&trigger_payload);
@@ -679,25 +663,8 @@ Status QueryEngine::RestoreState(std::string_view snapshot) {
   return status;
 }
 
-Status QueryEngine::RestoreStateImpl(std::string_view snapshot) {
-  IMPLISTAT_ASSIGN_OR_RETURN(SnapshotKind kind, PeekSnapshotKind(snapshot));
-  if (kind == SnapshotKind::kQueryEngine) {
-    IMPLISTAT_ASSIGN_OR_RETURN(
-        std::string_view payload,
-        UnwrapSnapshot(snapshot, SnapshotKind::kQueryEngine));
-    return RestoreLegacy(payload);
-  }
-  if (kind == SnapshotKind::kQueryEngineV2) {
-    IMPLISTAT_ASSIGN_OR_RETURN(
-        std::string_view payload,
-        UnwrapSnapshot(snapshot, SnapshotKind::kQueryEngineV2));
-    return RestoreV2(payload);
-  }
-  return Status::InvalidArgument("not a query engine checkpoint");
-}
-
-// Shared prefix of the legacy and v2 layouts: fingerprint, width, tuple
-// count, optional dictionary blob.
+// Checkpoint prefix: fingerprint, width, tuple count, optional
+// dictionary blob.
 namespace {
 
 struct CheckpointPrefix {
@@ -741,42 +708,10 @@ Status ReadCheckpointPrefix(ByteReader* in, const Schema& schema,
 
 }  // namespace
 
-Status QueryEngine::RestoreLegacy(std::string_view payload) {
-  ByteReader in(payload);
-  CheckpointPrefix prefix;
-  IMPLISTAT_RETURN_NOT_OK(ReadCheckpointPrefix(&in, schema_, &prefix));
-  uint64_t num_queries;
-  IMPLISTAT_RETURN_NOT_OK(in.ReadVarint64(&num_queries));
-  if (num_queries > in.remaining()) {  // every query costs many bytes
-    return Status::InvalidArgument("checkpoint: implausible query count");
-  }
-  for (uint64_t i = 0; i < num_queries; ++i) {
-    IMPLISTAT_ASSIGN_OR_RETURN(
-        ImplicationQuerySpec spec,
-        ImplicationQuerySpec::Deserialize(&in, schema_.num_attributes()));
-    std::string_view estimator_state;
-    IMPLISTAT_RETURN_NOT_OK(in.ReadLengthPrefixed(&estimator_state));
-    // Legacy checkpoints predate the store: every query owned its own
-    // estimator, and two key-identical estimators could still hold
-    // different bytes (independent merges). Force a dedicated synopsis
-    // per query so each restores its own state; the label check stays
-    // off because old engines accepted duplicates.
-    IMPLISTAT_ASSIGN_OR_RETURN(
-        QueryId id, RegisterInternal(std::move(spec),
-                                     /*force_new_synopsis=*/true,
-                                     /*check_label=*/false));
-    IMPLISTAT_RETURN_NOT_OK(store_.entry(queries_[id].synopsis)
-                                .estimator->RestoreState(estimator_state));
-  }
-  if (in.remaining() != 0) {
-    return Status::InvalidArgument("checkpoint: trailing bytes");
-  }
-  tuples_ = prefix.tuples;
-  dictionaries_ = std::move(prefix.dictionaries);
-  return Status::OK();
-}
-
-Status QueryEngine::RestoreV2(std::string_view payload) {
+Status QueryEngine::RestoreStateImpl(std::string_view snapshot) {
+  IMPLISTAT_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      UnwrapSnapshot(snapshot, SnapshotKind::kQueryEngineV2));
   ByteReader in(payload);
   CheckpointPrefix prefix;
   IMPLISTAT_RETURN_NOT_OK(ReadCheckpointPrefix(&in, schema_, &prefix));
@@ -890,13 +825,9 @@ Status QueryEngine::RestoreV2(std::string_view payload) {
 
 StatusOr<std::vector<ValueDictionary>> PeekCheckpointDictionaries(
     std::string_view snapshot) {
-  IMPLISTAT_ASSIGN_OR_RETURN(SnapshotKind kind, PeekSnapshotKind(snapshot));
-  if (kind != SnapshotKind::kQueryEngine &&
-      kind != SnapshotKind::kQueryEngineV2) {
-    return Status::InvalidArgument("not a query engine checkpoint");
-  }
-  IMPLISTAT_ASSIGN_OR_RETURN(std::string_view payload,
-                             UnwrapSnapshot(snapshot, kind));
+  IMPLISTAT_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      UnwrapSnapshot(snapshot, SnapshotKind::kQueryEngineV2));
   ByteReader in(payload);
   uint64_t fingerprint, width, tuples;
   IMPLISTAT_RETURN_NOT_OK(in.ReadU64(&fingerprint));

@@ -230,21 +230,20 @@ class QueryEngine {
   // registered query spec (WHERE clause included), tuples_seen, and the
   // synopsis store (each shared estimator serialized ONCE, with
   // query→synopsis references) — in one kQueryEngineV2 snapshot
-  // envelope. Legacy kQueryEngine checkpoints (pre-store, one estimator
-  // per query) still restore, into a degenerate 1:1 store. Restoring
-  // onto an engine built over the same schema re-registers the queries,
-  // re-establishes the sharing structure recorded in the checkpoint, and
-  // resumes the stream exactly where the checkpoint left it.
+  // envelope. The envelope's version check refuses a checkpoint written
+  // under any other snapshot format version. Restoring onto an engine
+  // built over the same schema re-registers the queries, re-establishes
+  // the sharing structure recorded in the checkpoint, and resumes the
+  // stream exactly where the checkpoint left it.
 
   /// Serializes the engine into a kQueryEngineV2 snapshot envelope.
   StatusOr<std::string> SerializeState() const;
 
-  /// Rebuilds the engine from SerializeState bytes (kQueryEngineV2 or
-  /// legacy kQueryEngine). Requires a fresh engine (no registered
-  /// queries, no observed tuples) whose schema matches the one the
-  /// checkpoint was taken over. On failure the engine is left fresh (no
-  /// partial registration survives); dangling query→synopsis references
-  /// refuse the restore outright.
+  /// Rebuilds the engine from SerializeState bytes. Requires a fresh
+  /// engine (no registered queries, no observed tuples) whose schema
+  /// matches the one the checkpoint was taken over. On failure the engine
+  /// is left fresh (no partial registration survives); dangling
+  /// query→synopsis references refuse the restore outright.
   Status RestoreState(std::string_view snapshot);
 
   /// Writes SerializeState to `path` atomically (write temp file, fsync,
@@ -276,14 +275,9 @@ class QueryEngine {
     bool active = true;
   };
 
-  StatusOr<QueryId> RegisterInternal(ImplicationQuerySpec spec,
-                                     bool force_new_synopsis,
-                                     bool check_label);
   Status CheckQueryId(QueryId id) const;
   const SynopsisEntry& EntryOf(const RegisteredQuery& query) const;
   Status RestoreStateImpl(std::string_view snapshot);
-  Status RestoreLegacy(std::string_view payload);
-  Status RestoreV2(std::string_view payload);
   StatusOr<std::string> SerializeSynopsisStore() const;
   Status RestoreSynopsisStore(std::string_view blob);
 
@@ -303,9 +297,9 @@ class QueryEngine {
   std::unique_ptr<cql::TriggerEngine> triggers_;  // lazy: null until install
 };
 
-/// Extracts the value dictionaries embedded in a kQueryEngine or
-/// kQueryEngineV2 checkpoint without restoring it (and without knowing
-/// the schema — the dictionary section precedes the query specs).
+/// Extracts the value dictionaries embedded in a kQueryEngineV2
+/// checkpoint without restoring it (and without knowing the schema — the
+/// dictionary section precedes the query specs).
 /// Returns an empty vector when the checkpoint carries none (id-coded
 /// streams).
 StatusOr<std::vector<ValueDictionary>> PeekCheckpointDictionaries(

@@ -23,7 +23,7 @@ bool OrPredicate::Matches(TupleRef tuple) const {
   return false;
 }
 
-// Wire tags, part of the checkpoint format (append-only; see DESIGN.md §7).
+// Wire tags, part of the checkpoint format (append-only; see DESIGN.md §6).
 namespace {
 enum PredicateTag : uint8_t {
   kTrueTag = 0,

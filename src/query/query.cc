@@ -1,10 +1,7 @@
 #include "query/query.h"
 
-#include <algorithm>
-
 #include "baseline/exact_counter.h"
 #include "core/sliding.h"
-#include "parallel/sharded_nips_ci.h"
 #include "util/logging.h"
 
 namespace implistat {
@@ -48,7 +45,6 @@ Status ReadI32(ByteReader* in, int* out) {
 
 void EstimatorConfig::SerializeTo(ByteWriter* out) const {
   out->PutU8(static_cast<uint8_t>(kind));
-  out->PutVarint64(static_cast<uint64_t>(threads));
   out->PutVarint64(window);
   out->PutVarint64(stride);
   out->PutVarint64(static_cast<uint64_t>(nips.num_bitmaps));
@@ -76,12 +72,6 @@ StatusOr<EstimatorConfig> EstimatorConfig::Deserialize(ByteReader* in) {
     return Status::InvalidArgument("estimator config: unknown kind");
   }
   config.kind = static_cast<EstimatorKind>(kind_byte);
-  uint64_t threads;
-  IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&threads));
-  if (threads < 1 || threads > (uint64_t{1} << 20)) {
-    return Status::InvalidArgument("estimator config: bad thread count");
-  }
-  config.threads = static_cast<int>(threads);
   IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&config.window));
   IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&config.stride));
   // Window/stride geometry is re-checked by MakeEstimator (it returns a
@@ -216,13 +206,6 @@ StatusOr<std::unique_ptr<ImplicationEstimator>> MakeEstimator(
   }
   switch (config.kind) {
     case EstimatorKind::kNipsCi:
-      if (config.threads > 1) {
-        ShardedNipsCiOptions sharded;
-        sharded.threads = std::min(config.threads, config.nips.num_bitmaps);
-        sharded.ensemble = config.nips;
-        return std::unique_ptr<ImplicationEstimator>(
-            std::make_unique<ShardedNipsCi>(conditions, sharded));
-      }
       return std::unique_ptr<ImplicationEstimator>(
           std::make_unique<NipsCi>(conditions, config.nips));
     case EstimatorKind::kExact:

@@ -42,12 +42,6 @@ enum class EstimatorKind {
 
 struct EstimatorConfig {
   EstimatorKind kind = EstimatorKind::kNipsCi;
-  /// Ingest worker threads for the NIPS/CI estimator. > 1 builds the
-  /// sharded parallel pipeline (src/parallel/sharded_nips_ci.h) with
-  /// min(threads, num_bitmaps) workers — estimates stay bit-identical to
-  /// the sequential estimator. Ignored (sequential) for windowed queries
-  /// and for the baseline estimators.
-  int threads = 1;
   /// Sliding window in tuples; 0 = lifetime counts (§3.2). Windowed
   /// queries require the NIPS/CI estimator.
   uint64_t window = 0;
@@ -59,7 +53,7 @@ struct EstimatorConfig {
   StickySamplingOptions iss;
 
   /// Checkpoint wire format (raw fields, no envelope — configs only travel
-  /// inside a kQueryEngine snapshot). Deserialize re-validates every field
+  /// inside a kQueryEngineV2 snapshot). Deserialize re-validates every field
   /// an estimator constructor would assert on, so a corrupt-but-CRC-valid
   /// checkpoint yields a Status instead of an abort.
   void SerializeTo(ByteWriter* out) const;
@@ -85,8 +79,8 @@ struct ImplicationQuerySpec {
   /// allocating a dedicated estimator, when a sound derivation exists.
   /// Derived answers are flagged and carry [lower, upper] bounds rather
   /// than a byte-identical estimate, so this is opt-in. Not part of the
-  /// frozen v1 spec wire format — it rides in the kQueryEngineV2
-  /// checkpoint container instead (see engine.cc).
+  /// spec wire format — it rides in the query record's flag byte of the
+  /// kQueryEngineV2 checkpoint container instead (see engine.cc).
   bool allow_derived = false;
 
   /// Checkpoint wire format for the whole spec, WHERE clause included.

@@ -34,8 +34,8 @@ class ValueDictionary {
   size_t size() const { return values_.size(); }
 
   /// Checkpoint wire format: values in id order (raw fields, no envelope —
-  /// dictionaries travel inside a kValueDictionary blob or a kQueryEngine
-  /// snapshot). Deserialize rejects duplicate values, so ids round-trip
+  /// dictionaries travel inside a kValueDictionary blob or a
+  /// kQueryEngineV2 snapshot). Deserialize rejects duplicate values, so ids round-trip
   /// exactly: ValueOf/Find on the restored dictionary answer as before.
   void SerializeTo(ByteWriter* out) const;
   static StatusOr<ValueDictionary> Deserialize(ByteReader* in);

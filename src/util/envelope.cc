@@ -197,8 +197,6 @@ const char* SnapshotKindName(SnapshotKind kind) {
     case SnapshotKind::kLossyCounting: return "lossy_counting";
     case SnapshotKind::kStickySampling: return "sticky_sampling";
     case SnapshotKind::kSlidingNipsCi: return "sliding_nips_ci";
-    case SnapshotKind::kQueryEngine: return "query_engine";
-    case SnapshotKind::kIncrementalTracker: return "incremental_tracker";
     case SnapshotKind::kValueDictionary: return "value_dictionary";
     case SnapshotKind::kQueryEngineV2: return "query_engine_v2";
     case SnapshotKind::kSynopsisStore: return "synopsis_store";

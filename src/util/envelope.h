@@ -87,7 +87,7 @@ StatusOr<uint8_t> PeekEnvelopeTag(const EnvelopeFamily& family,
 /// Identifies which estimator (or container) produced a snapshot payload.
 /// Values are part of the wire format — append only, never renumber.
 enum class SnapshotKind : uint8_t {
-  kNipsCi = 1,           // NipsCi and ShardedNipsCi (interchangeable)
+  kNipsCi = 1,           // NipsCi
   kExactCounter = 2,     // ExactImplicationCounter
   kDistinctSampling = 3, // DistinctSampling
   kIlc = 4,              // Ilc (Implication Lossy Counting)
@@ -95,8 +95,8 @@ enum class SnapshotKind : uint8_t {
   kLossyCounting = 6,    // plain frequent-items LossyCounting
   kStickySampling = 7,   // plain frequent-items StickySampling
   kSlidingNipsCi = 8,    // SlidingNipsCi / SlidingNipsCiEstimator
-  kQueryEngine = 9,      // full QueryEngine checkpoint (legacy 1:1 layout)
-  kIncrementalTracker = 10,  // IncrementalTracker checkpoint vector
+  // 9 and 10 are retired (the pre-store engine checkpoint and the
+  // per-window increment tracker) and stay reserved: never reuse them.
   kValueDictionary = 11,     // per-attribute ValueDictionary vector
   kQueryEngineV2 = 12,   // QueryEngine checkpoint with a synopsis store
   kSynopsisStore = 13,   // shared-synopsis section nested in kQueryEngineV2
@@ -108,7 +108,9 @@ enum class SnapshotKind : uint8_t {
 const char* SnapshotKindName(SnapshotKind kind);
 
 inline constexpr uint32_t kSnapshotMagic = 0x53504d49;  // "IMPS"
-inline constexpr uint64_t kSnapshotFormatVersion = 1;
+/// 2 since the estimator config inside engine checkpoints lost a field;
+/// readers refuse every other version.
+inline constexpr uint64_t kSnapshotFormatVersion = 2;
 
 inline constexpr EnvelopeFamily kSnapshotEnvelope{
     kSnapshotMagic, kSnapshotFormatVersion, "snapshot"};

@@ -12,7 +12,7 @@
 // version, estimator kind, payload length, CRC32C trailer — so a reader can
 // reject truncation, bit-flips, version skew, and kind mismatch before it
 // ever parses a payload byte. The envelope lives in util/envelope.h
-// (included here for compatibility); see DESIGN.md §7 for the wire format.
+// (included here for compatibility); see DESIGN.md §6 for the wire format.
 
 #ifndef IMPLISTAT_UTIL_SERDE_H_
 #define IMPLISTAT_UTIL_SERDE_H_

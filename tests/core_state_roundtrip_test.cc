@@ -16,10 +16,8 @@
 #include "baseline/ilc.h"
 #include "baseline/sticky_sampling.h"
 #include "core/estimator.h"
-#include "core/incremental.h"
 #include "core/nips_ci_ensemble.h"
 #include "core/sliding.h"
-#include "parallel/sharded_nips_ci.h"
 
 namespace implistat {
 namespace {
@@ -52,12 +50,6 @@ struct Kind {
 
 std::unique_ptr<ImplicationEstimator> MakeNips() {
   return std::make_unique<NipsCi>(TestConditions(), SmallEnsemble());
-}
-std::unique_ptr<ImplicationEstimator> MakeSharded() {
-  ShardedNipsCiOptions options;
-  options.threads = 4;
-  options.ensemble = SmallEnsemble();
-  return std::make_unique<ShardedNipsCi>(TestConditions(), options);
 }
 std::unique_ptr<ImplicationEstimator> MakeExact() {
   return std::make_unique<ExactImplicationCounter>(TestConditions());
@@ -94,7 +86,6 @@ std::unique_ptr<ImplicationEstimator> MakeSliding() {
 const std::vector<Kind>& AllKinds() {
   static const std::vector<Kind> kinds = {
       {"nips_ci", MakeNips, true},
-      {"sharded_nips_ci", MakeSharded, true},
       {"exact", MakeExact, false},
       {"distinct_sampling", MakeDs, false},
       {"ilc", MakeIlc, false},
@@ -169,48 +160,11 @@ TEST(StateRoundtripTest, RestoreReplacesPriorState) {
   }
 }
 
-// The sharded pipeline snapshots under the same kNipsCi kind as the
-// sequential ensemble: a mid-stream checkpoint moves freely between the
-// two, and both stay byte-identical to the sequential twin.
-TEST(StateRoundtripTest, ShardedCheckpointInterchangesWithSequential) {
-  std::unique_ptr<ImplicationEstimator> sequential_twin = MakeNips();
-  Feed(sequential_twin.get(), 0, kStream);
-
-  std::unique_ptr<ImplicationEstimator> sharded = MakeSharded();
-  Feed(sharded.get(), 0, kCut);
-  auto snapshot = sharded->SerializeState();
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-
-  std::unique_ptr<ImplicationEstimator> resumed_sharded = MakeSharded();
-  ASSERT_TRUE(resumed_sharded->RestoreState(*snapshot).ok());
-  Feed(resumed_sharded.get(), kCut, kStream);
-
-  std::unique_ptr<ImplicationEstimator> resumed_sequential = MakeNips();
-  ASSERT_TRUE(resumed_sequential->RestoreState(*snapshot).ok());
-  Feed(resumed_sequential.get(), kCut, kStream);
-
-  auto twin_bytes = sequential_twin->SerializeState();
-  auto sharded_bytes = resumed_sharded->SerializeState();
-  auto sequential_bytes = resumed_sequential->SerializeState();
-  ASSERT_TRUE(twin_bytes.ok());
-  ASSERT_TRUE(sharded_bytes.ok());
-  ASSERT_TRUE(sequential_bytes.ok());
-  EXPECT_EQ(*sharded_bytes, *twin_bytes);
-  EXPECT_EQ(*sequential_bytes, *twin_bytes);
-
-  // And the reverse direction: a sequential checkpoint restores into a
-  // sharded pipeline.
-  std::unique_ptr<ImplicationEstimator> back_to_sharded = MakeSharded();
-  ASSERT_TRUE(back_to_sharded->RestoreState(*twin_bytes).ok());
-  EXPECT_DOUBLE_EQ(back_to_sharded->EstimateImplicationCount(),
-                   sequential_twin->EstimateImplicationCount());
-}
-
 // The paper's hierarchy (§3): nodes snapshot state, ship it upstream, and
 // an aggregator folds it in — across its own restarts.
 TEST(StateRoundtripTest, MergeAcrossRestart) {
   std::unique_ptr<ImplicationEstimator> node_a = MakeNips();
-  std::unique_ptr<ImplicationEstimator> node_b = MakeSharded();
+  std::unique_ptr<ImplicationEstimator> node_b = MakeNips();
   for (uint64_t i = 0; i < kStream; ++i) {
     ItemsetKey a = i % 400;
     ItemsetKey b = (a % 10 == 0) ? (i % 3) : (a % 5);
@@ -223,8 +177,7 @@ TEST(StateRoundtripTest, MergeAcrossRestart) {
   auto checkpoint = aggregator->SerializeState();
   ASSERT_TRUE(checkpoint.ok());
 
-  // Aggregator 2 restores and finishes the job (a sharded node merges
-  // into a sequential aggregator through the shared wire format).
+  // Aggregator 2 restores and finishes the job.
   std::unique_ptr<ImplicationEstimator> replacement = MakeNips();
   ASSERT_TRUE(replacement->RestoreState(*checkpoint).ok());
   ASSERT_TRUE(replacement->MergeFrom(*node_b).ok());
@@ -288,35 +241,6 @@ TEST(StateRoundtripTest, StickySamplingSynopsisRoundTrips) {
   for (uint64_t key = 0; key < 37; ++key) {
     EXPECT_EQ(resumed.EstimatedCount(key), uninterrupted.EstimatedCount(key))
         << "key " << key;
-  }
-}
-
-TEST(StateRoundtripTest, IncrementalTrackerRoundTrips) {
-  // The tracker persists its own bookkeeping (stream clock + checkpoint
-  // vector); the tracked estimator checkpoints separately.
-  std::unique_ptr<ImplicationEstimator> estimator = MakeExact();
-  IncrementalTracker uninterrupted(estimator.get());
-  IncrementalTracker first(estimator.get());
-  auto drive = [](IncrementalTracker& tracker, uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) {
-      tracker.AdvanceTuples();
-      if (i % 500 == 499) tracker.Mark("t" + std::to_string(i));
-    }
-  };
-  drive(uninterrupted, 0, kStream);
-  drive(first, 0, kCut);
-  auto snapshot = first.SerializeState();
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-  IncrementalTracker resumed(estimator.get());
-  ASSERT_TRUE(resumed.RestoreState(*snapshot).ok());
-  drive(resumed, kCut, kStream);
-  EXPECT_EQ(resumed.tuples(), uninterrupted.tuples());
-  ASSERT_EQ(resumed.checkpoints().size(), uninterrupted.checkpoints().size());
-  for (size_t i = 0; i < resumed.checkpoints().size(); ++i) {
-    EXPECT_EQ(resumed.checkpoints()[i].tuples,
-              uninterrupted.checkpoints()[i].tuples);
-    EXPECT_EQ(resumed.checkpoints()[i].label,
-              uninterrupted.checkpoints()[i].label);
   }
 }
 

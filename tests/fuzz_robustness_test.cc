@@ -16,7 +16,6 @@
 #include "baseline/sticky_sampling.h"
 #include "core/nips_ci_ensemble.h"
 #include "core/sliding.h"
-#include "parallel/sharded_nips_ci.h"
 #include "delta/delta.h"
 #include "query/engine.h"
 #include "query/parser.h"
@@ -150,15 +149,6 @@ const std::vector<DurableKind>& DurableKinds() {
          o.seed = 21;
          return std::unique_ptr<ImplicationEstimator>(
              std::make_unique<NipsCi>(StateCond(), o));
-       }},
-      {"sharded_nips_ci",
-       [] {
-         ShardedNipsCiOptions o;
-         o.threads = 2;
-         o.ensemble.num_bitmaps = 8;
-         o.ensemble.seed = 21;
-         return std::unique_ptr<ImplicationEstimator>(
-             std::make_unique<ShardedNipsCi>(StateCond(), o));
        }},
       {"exact",
        [] {
@@ -312,8 +302,7 @@ TEST(StateFuzzTest, RandomGarbageRejectedByEveryKind) {
 
 TEST(StateFuzzTest, WrongKindSnapshotsRejected) {
   // Pre-serialize one snapshot per kind, then try every (snapshot, target)
-  // pair. Only matching kinds — plus the sharded/sequential NIPS/CI pair,
-  // which shares a wire format by design — may restore.
+  // pair. Only matching kinds may restore.
   std::vector<std::string> snapshots;
   for (const DurableKind& kind : DurableKinds()) {
     auto source = kind.make();
@@ -323,14 +312,9 @@ TEST(StateFuzzTest, WrongKindSnapshotsRejected) {
     snapshots.push_back(std::move(*snapshot));
   }
   const auto& kinds = DurableKinds();
-  auto nips_compatible = [](const std::string& name) {
-    return name == "nips_ci" || name == "sharded_nips_ci";
-  };
   for (size_t s = 0; s < kinds.size(); ++s) {
     for (size_t t = 0; t < kinds.size(); ++t) {
-      const bool compatible =
-          s == t || (nips_compatible(kinds[s].name) &&
-                     nips_compatible(kinds[t].name));
+      const bool compatible = s == t;
       auto target = kinds[t].make();
       FeedState(target.get(), 100, 300);
       const double baseline = target->EstimateImplicationCount();
@@ -378,8 +362,15 @@ TEST(StateFuzzTest, FutureVersionSnapshotsRejected) {
 // ---------------------------------------------------------------------------
 
 const std::vector<DurableKind>& DeltaCapableKinds() {
-  static const std::vector<DurableKind> kinds = {DurableKinds()[0],   // nips_ci
-                                                 DurableKinds()[6]};  // sliding
+  static const std::vector<DurableKind> kinds = [] {
+    std::vector<DurableKind> out;
+    for (const DurableKind& kind : DurableKinds()) {
+      if (kind.name == "nips_ci" || kind.name == "sliding_nips_ci") {
+        out.push_back(kind);
+      }
+    }
+    return out;
+  }();
   return kinds;
 }
 

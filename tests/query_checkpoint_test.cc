@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "query/engine.h"
 #include "query/predicate.h"
+#include "util/envelope.h"
 #include "util/fileio.h"
 
 namespace implistat {
@@ -39,8 +41,8 @@ ImplicationQuerySpec BaseSpec() {
   return spec;
 }
 
-// A representative mix: ground truth, a WHERE-filtered NIPS/CI query, a
-// sharded parallel query and a sliding-window query.
+// A representative mix: ground truth, a WHERE-filtered NIPS/CI query, an
+// unfiltered NIPS/CI query and a sliding-window query.
 void RegisterSuite(QueryEngine& engine) {
   ImplicationQuerySpec exact = BaseSpec();
   exact.estimator.kind = EstimatorKind::kExact;
@@ -54,12 +56,11 @@ void RegisterSuite(QueryEngine& engine) {
   morning.label = "morning only";
   ASSERT_TRUE(engine.Register(std::move(morning)).ok());
 
-  ImplicationQuerySpec sharded = BaseSpec();
-  sharded.estimator.kind = EstimatorKind::kNipsCi;
-  sharded.estimator.nips.num_bitmaps = 8;
-  sharded.estimator.threads = 4;
-  sharded.label = "sharded";
-  ASSERT_TRUE(engine.Register(std::move(sharded)).ok());
+  ImplicationQuerySpec unfiltered = BaseSpec();
+  unfiltered.estimator.kind = EstimatorKind::kNipsCi;
+  unfiltered.estimator.nips.num_bitmaps = 8;
+  unfiltered.label = "unfiltered";
+  ASSERT_TRUE(engine.Register(std::move(unfiltered)).ok());
 
   ImplicationQuerySpec windowed = BaseSpec();
   windowed.estimator.kind = EstimatorKind::kNipsCi;
@@ -215,6 +216,51 @@ TEST(QueryCheckpointTest, CorruptFileLeavesEngineFresh) {
   EXPECT_TRUE(victim.RestoreState(*intact).ok());
   ExpectSameAnswers(victim, engine);
   std::remove(path.c_str());
+}
+
+// Snapshot format version 2 dropped a field from the estimator config, so
+// a version-1 engine checkpoint must be refused by the envelope's version
+// check rather than misread at that field.
+TEST(QueryCheckpointTest, VersionOneCheckpointRefusedEngineStaysFresh) {
+  QueryEngine engine(TestSchema());
+  RegisterSuite(engine);
+  std::vector<ValueDictionary> dictionaries(3);
+  dictionaries[0].GetOrAdd("10.0.0.1");
+  ASSERT_TRUE(engine.SetDictionaries(std::move(dictionaries)).ok());
+  Feed(engine, 0, 400);
+  auto intact = engine.SerializeState();
+  ASSERT_TRUE(intact.ok()) << intact.status();
+
+  // The version varint sits after the 4-byte magic; set it to 1 and
+  // re-seal the CRC trailer so only the version check can object.
+  std::string stale = *intact;
+  ASSERT_EQ(stale[4], static_cast<char>(kSnapshotFormatVersion));
+  stale[4] = 1;
+  const uint32_t crc = Crc32c(
+      std::string_view(stale).substr(0, stale.size() - sizeof(uint32_t)));
+  std::memcpy(stale.data() + stale.size() - sizeof(crc), &crc, sizeof(crc));
+  const Status envelope =
+      UnwrapSnapshot(stale, SnapshotKind::kQueryEngineV2).status();
+  EXPECT_NE(envelope.message().find("unsupported format version 1"),
+            std::string_view::npos)
+      << envelope;
+
+  QueryEngine victim(TestSchema());
+  const Status restored = victim.RestoreState(stale);
+  EXPECT_EQ(restored.code(), envelope.code());
+  EXPECT_EQ(restored.message(), envelope.message());
+
+  auto peeked = PeekCheckpointDictionaries(stale);
+  ASSERT_FALSE(peeked.ok());
+  EXPECT_EQ(peeked.status().message(), envelope.message());
+
+  EXPECT_EQ(victim.num_queries(), 0);
+  EXPECT_EQ(victim.num_synopses(), 0);
+  EXPECT_EQ(victim.tuples_seen(), 0u);
+  EXPECT_TRUE(victim.dictionaries().empty());
+  ASSERT_TRUE(victim.RestoreState(*intact).ok());
+  ExpectSameAnswers(victim, engine);
+  EXPECT_EQ(victim.dictionaries().size(), 3u);
 }
 
 TEST(QueryCheckpointTest, MissingFileFails) {

@@ -8,9 +8,7 @@
 //     binding deregisters, and ids/labels behave (NotFound after
 //     deregistration, AlreadyExists on duplicate labels);
 //   * entailment-derived answers carry [lower, upper] bounds that
-//     contain the exact ground truth and allocate no synopsis;
-//   * legacy (pre-store) checkpoints still restore, into the degenerate
-//     1:1 layout.
+//     contain the exact ground truth and allocate no synopsis.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +17,6 @@
 
 #include "query/engine.h"
 #include "stream/csv_io.h"
-#include "util/envelope.h"
-#include "util/serde.h"
 
 namespace implistat {
 namespace {
@@ -380,46 +376,6 @@ TEST_F(SharingTest, FoldUnitsEnumerateSynopsesOnce) {
   units = engine.FoldUnits();
   ASSERT_EQ(units.size(), 2u);
   EXPECT_EQ(units[0].representative, 1);
-}
-
-// Legacy kQueryEngine checkpoints (one estimator per query, no store
-// section) predate this refactor; they restore into a degenerate 1:1
-// store with the label check off.
-TEST_F(SharingTest, LegacyCheckpointRestoresOneToOne) {
-  // Hand-build the legacy layout: prefix (fingerprint, width, tuples,
-  // no dictionaries), then per query spec + length-prefixed estimator
-  // state. Two key-identical specs with the SAME label — old engines
-  // accepted duplicates, so restore must too.
-  ByteWriter payload;
-  payload.PutU64(SchemaFingerprint(table_->schema));
-  payload.PutVarint64(
-      static_cast<uint64_t>(table_->schema.num_attributes()));
-  payload.PutVarint64(0);  // tuples
-  payload.PutU8(0);        // no dictionary section
-  payload.PutVarint64(2);
-  ImplicationQuerySpec spec = Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2);
-  spec.label = "dup";
-  for (int i = 0; i < 2; ++i) {
-    spec.SerializeTo(&payload);
-    auto est = MakeEstimator(spec.conditions, spec.estimator);
-    ASSERT_TRUE(est.ok());
-    auto state = (*est)->SerializeState();
-    ASSERT_TRUE(state.ok());
-    payload.PutLengthPrefixed(*state);
-  }
-  const std::string snapshot =
-      WrapSnapshot(SnapshotKind::kQueryEngine, payload.Release());
-
-  QueryEngine engine(table_->schema);
-  Status restored = engine.RestoreState(snapshot);
-  ASSERT_TRUE(restored.ok()) << restored;
-  EXPECT_EQ(engine.num_queries(), 2);
-  EXPECT_EQ(engine.num_synopses(), 2);  // degenerate 1:1, never re-shared
-  EXPECT_EQ(engine.Binding(0).value(), QueryBinding::kOwner);
-  EXPECT_EQ(engine.Binding(1).value(), QueryBinding::kOwner);
-  Feed(engine);
-  EXPECT_DOUBLE_EQ(engine.Answer(0).value(), 2.0);
-  EXPECT_DOUBLE_EQ(engine.Answer(1).value(), 2.0);
 }
 
 TEST_F(SharingTest, RestoreRequiresFreshEngine) {

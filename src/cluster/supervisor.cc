@@ -23,6 +23,12 @@ int64_t MonotonicNowMs() {
       .count();
 }
 
+// One fold unit's finished estimator, ready to swap into the engine.
+struct FoldedUnit {
+  SynopsisId synopsis;
+  std::unique_ptr<ImplicationEstimator> estimator;
+};
+
 }  // namespace
 
 StatusOr<PeerConfig> ParsePeerSpec(std::string_view spec) {
@@ -125,20 +131,21 @@ struct AggregatorSupervisor::Peer {
   PeerConfig config;
   std::optional<net::Client> client;
 
-  // Contribution: the latest full set of per-query snapshots, keyed by
-  // the epoch they were serialized at. Poll-thread only.
-  std::vector<std::string> snapshots;
-  bool has_contribution = false;
-
-  // Delta shipping state, one slot per fold unit (poll-thread only): the
-  // twin mirrors the peer's estimator so SNAPSHOT_DELTA patches fold
-  // locally, and acked_epoch names the baseline the next pull builds on.
+  // Contribution, one slot per fold unit (poll-thread only): the unit's
+  // state as of the last successful pull, as a live estimator.
   struct UnitState {
-    std::unique_ptr<ImplicationEstimator> twin;
+    // The twin SNAPSHOT_DELTA patches land in, or the decoded full
+    // snapshot on the full-pull path.
+    std::unique_ptr<ImplicationEstimator> estimator;
+    // The baseline the next delta pull builds on; 0 = none (bootstrap).
     uint64_t acked_epoch = 0;
-    bool delta_capable = true;  // false: the kind has no delta materializer
+    bool delta_capable = true;  // false: the kind serves no deltas
+    // Full-path units only: the bytes `estimator` was decoded from, so a
+    // re-ship of the same state is recognized without decoding it again.
+    std::string full_state;
   };
   std::vector<UnitState> units;
+  bool has_contribution = false;
   bool logged_full_mode = false;
 
   // Reader-visible fields (guarded by the supervisor's mu_).
@@ -157,6 +164,19 @@ struct AggregatorSupervisor::Peer {
   obs::Gauge* failures_gauge = nullptr;
   obs::Gauge* health_gauge = nullptr;
   obs::Counter* regressions_total = nullptr;
+};
+
+// One unit's fetched response, decoded as far as it can be without
+// touching the unit's contribution.
+struct AggregatorSupervisor::UnitPull {
+  // The acked epoch a delta request named; 0 for bootstraps and full
+  // pulls.
+  uint64_t since = 0;
+  net::DeltaSnapshotResponse response;
+  // Full answers only: whether the kind serves deltas, and the decoded
+  // estimator — null when the bytes repeat the unit's kept ones.
+  bool delta_capable = false;
+  std::unique_ptr<ImplicationEstimator> decoded;
 };
 
 AggregatorSupervisor::AggregatorSupervisor(QueryEngine* aggregate,
@@ -209,99 +229,122 @@ Status AggregatorSupervisor::Init() {
     return Status::FailedPrecondition(
         "aggregate engine has no registered queries to supervise");
   }
+  for (auto& peer : peers_) peer->units.resize(fold_units_.size());
   if (engine_->tuples_seen() > 0) {
     base_tuples_ = engine_->tuples_seen();
-    base_snapshots_.reserve(fold_units_.size());
+    base_.reserve(fold_units_.size());
     for (const QueryEngine::FoldUnit& unit : fold_units_) {
+      // A decoded copy, not the engine's instance: every refold replaces
+      // the engine's estimators, and the base must outlive them.
       IMPLISTAT_ASSIGN_OR_RETURN(const ImplicationEstimator* estimator,
                                  engine_->Estimator(unit.representative));
       IMPLISTAT_ASSIGN_OR_RETURN(std::string state,
                                  estimator->SerializeState());
-      base_snapshots_.push_back(std::move(state));
+      IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> base,
+                                 MakeEstimator(unit.conditions, unit.config));
+      IMPLISTAT_RETURN_NOT_OK(base->RestoreState(state));
+      base_.push_back(std::move(base));
     }
   }
   initialized_ = true;
   return Status::OK();
 }
 
-StatusOr<std::string> AggregatorSupervisor::PullUnitDelta(Peer& peer,
-                                                          size_t unit_index,
-                                                          uint32_t query_id,
-                                                          uint64_t* epoch,
-                                                          PollStats* stats) {
-  Peer::UnitState& state = peer.units[unit_index];
-  const uint64_t since = state.twin != nullptr ? state.acked_epoch : 0;
-  auto response = peer.client->SnapshotDelta(query_id, since, net::kDeltaCapRle);
-  if (!response.ok()) return response.status();
-  if (response->is_delta && since == 0) {
-    return Status::InvalidArgument(
-        "peer answered a bootstrap (since_epoch 0) pull with a delta");
+Status AggregatorSupervisor::FetchUnit(Peer& peer, size_t u,
+                                       bool deltas_enabled, UnitPull* pull) {
+  const QueryEngine::FoldUnit& unit = fold_units_[u];
+  const uint32_t query_id = static_cast<uint32_t>(unit.representative);
+  const Peer::UnitState& state = peer.units[u];
+  if (deltas_enabled && state.delta_capable) {
+    pull->since = state.acked_epoch;
+    IMPLISTAT_ASSIGN_OR_RETURN(
+        pull->response,
+        peer.client->SnapshotDelta(query_id, pull->since, net::kDeltaCapRle));
+    if (pull->response.is_delta) {
+      if (pull->since == 0) {
+        return Status::InvalidArgument(
+            "peer answered a since_epoch 0 pull with a delta");
+      }
+      return Status::OK();
+    }
+  } else {
+    IMPLISTAT_ASSIGN_OR_RETURN(net::SnapshotResponse full,
+                               peer.client->Snapshot(query_id));
+    pull->response.epoch = full.epoch;
+    pull->response.state = std::move(full.state);
   }
+  // A full answer is decoded here, once, so a bad snapshot fails the pull
+  // before any unit's contribution has changed.
+  const std::string& bytes = pull->response.state;
+  IMPLISTAT_ASSIGN_OR_RETURN(SnapshotKind kind, PeekSnapshotKind(bytes));
+  pull->delta_capable = KindSupportsDeltas(kind);
+  const bool full_path = !(deltas_enabled && pull->delta_capable);
+  if (full_path && state.estimator != nullptr && bytes == state.full_state) {
+    return Status::OK();  // the decoded contribution already holds these
+  }
+  IMPLISTAT_ASSIGN_OR_RETURN(pull->decoded,
+                             MakeEstimator(unit.conditions, unit.config));
+  return pull->decoded->RestoreState(bytes);
+}
+
+StatusOr<bool> AggregatorSupervisor::ApplyUnit(Peer& peer, size_t u,
+                                               bool deltas_enabled,
+                                               UnitPull pull, uint64_t* epoch,
+                                               PollStats* stats) {
+  Peer::UnitState& state = peer.units[u];
   // True once an established baseline had to be replaced by a full
-  // snapshot — the resync the metrics and stats count.
-  bool lost_baseline = false;
-  if (response->is_delta) {
+  // snapshot — the resync the metrics and stats count. A full answer to
+  // a patch request means the edge restarted, its epoch regressed, or
+  // our baseline fell off its mark window.
+  bool lost_baseline = pull.since != 0 && !pull.response.is_delta;
+  if (pull.response.is_delta) {
     StatusOr<DeltaInfo> applied =
-        ApplyDeltaSnapshot(state.twin.get(), response->state, since);
+        ApplyDeltaSnapshot(state.estimator.get(), pull.response.state,
+                           pull.since);
     if (applied.ok()) {
       ++stats->delta_pulls;
-      metrics_->delta_bytes_total->Increment(response->state.size());
-      state.acked_epoch = response->epoch;
-      *epoch = response->epoch;
-      // The twin now mirrors the edge exactly, so its serialized state is
-      // the same bytes a full SNAPSHOT would have shipped — the fold path
-      // below cannot tell the difference.
-      return state.twin->SerializeState();
+      metrics_->delta_bytes_total->Increment(pull.response.state.size());
+      state.acked_epoch = pull.response.epoch;
+      *epoch = pull.response.epoch;
+      // The edge's state moves only with its epoch (a merge or restore
+      // drops its baselines and forces a full answer), so a patch that
+      // kept the epoch changed nothing.
+      return pull.response.epoch != pull.since;
     }
-    // Refused patch (corrupt, wrong base, stale twin): drop the baseline
-    // and resync with an explicit full pull in this same round rather
-    // than serving a stale contribution until the next one.
+    // Refused patch (corrupt, wrong base, stale twin). ApplyDelta mutates
+    // nothing on refusal, so the twin still holds the acked state; drop
+    // the baseline and resync with an explicit full pull in this same
+    // round rather than serving a stale contribution until the next one.
     obs::LogEvent(obs::LogLevel::kWarn, "cluster", "delta_refused")
         .Str("peer", peer.config.name)
-        .U64("query", query_id)
+        .U64("query", static_cast<uint64_t>(fold_units_[u].representative))
         .Str("error", applied.status().ToString());
-    state.twin.reset();
     state.acked_epoch = 0;
     lost_baseline = true;
-    response = peer.client->SnapshotDelta(query_id, 0, net::kDeltaCapRle);
-    if (!response.ok()) return response.status();
-    if (response->is_delta) {
-      return Status::InvalidArgument(
-          "peer answered a full-resync (since_epoch 0) pull with a delta");
-    }
-  } else if (since != 0) {
-    // We asked for a patch and got a full snapshot: the edge restarted,
-    // its epoch regressed, or our baseline fell off its mark window.
-    lost_baseline = true;
+    pull = UnitPull();
+    IMPLISTAT_RETURN_NOT_OK(FetchUnit(peer, u, deltas_enabled, &pull));
   }
 
   ++stats->full_pulls;
-  metrics_->snapshot_bytes_total->Increment(response->state.size());
+  metrics_->snapshot_bytes_total->Increment(pull.response.state.size());
   if (lost_baseline) {
     ++stats->resyncs;
     metrics_->delta_resyncs_total->Increment();
   }
-  // Rebuild the twin from the full snapshot so the next round can patch.
-  StatusOr<std::unique_ptr<ImplicationEstimator>> twin =
-      MaterializeEstimator(response->state);
-  if (twin.ok()) {
-    state.twin = std::move(*twin);
-    state.acked_epoch = response->epoch;
-  } else if (twin.status().code() == StatusCode::kUnimplemented) {
-    // Snapshot kind without delta support: stay on plain full pulls.
-    state.delta_capable = false;
-    state.twin.reset();
-    state.acked_epoch = 0;
-  } else {
-    return twin.status();
-  }
-  *epoch = response->epoch;
-  return std::move(response)->state;
+  *epoch = pull.response.epoch;
+  if (pull.decoded == nullptr) return false;  // same bytes as last time
+  // A full snapshot replaces the contribution: delta-capable kinds become
+  // the twin the next round patches, the rest keep their bytes for the
+  // next comparison.
+  const bool twin = deltas_enabled && pull.delta_capable;
+  state.estimator = std::move(pull.decoded);
+  state.delta_capable = pull.delta_capable;
+  state.acked_epoch = twin ? pull.response.epoch : 0;
+  state.full_state = twin ? std::string() : std::move(pull.response.state);
+  return true;
 }
 
-Status AggregatorSupervisor::PullPeer(Peer& peer, int64_t now_ms,
-                                      PollStats* stats) {
-  (void)now_ms;
+Status AggregatorSupervisor::PullPeer(Peer& peer, PollStats* stats) {
   if (!peer.client.has_value()) {
     net::ClientOptions client_options;
     client_options.connect_timeout_ms = options_.connect_timeout_ms;
@@ -325,41 +368,29 @@ Status AggregatorSupervisor::PullPeer(Peer& peer, int64_t now_ms,
         .U64("negotiated_version", peer.client->negotiated_version());
     peer.logged_full_mode = true;
   }
-  if (peer.units.size() != fold_units_.size()) {
-    peer.units.clear();
-    peer.units.resize(fold_units_.size());
-  }
-
-  // Pull one snapshot per fold unit, addressed by the unit's
-  // representative query id (the wire names estimator state by query;
-  // the edge resolves it to the same shared synopsis). The edge may keep
-  // ingesting between the per-unit round trips, so the epochs can differ
-  // slightly; the set is keyed by the last one (refolds are estimates
-  // over near-simultaneous views, and the next poll replaces the set
-  // wholesale anyway).
-  uint64_t epoch = 0;
-  std::vector<std::string> snapshots;
-  snapshots.reserve(fold_units_.size());
+  // Pull one state per fold unit, addressed by the unit's representative
+  // query id (the wire names estimator state by query; the edge resolves
+  // it to the same shared synopsis). Every response is fetched before
+  // any is applied, so a pull that fails part-way leaves the peer's
+  // contribution as its last successful pull left it (DEGRADED keeps it
+  // in the fold). The edge may keep ingesting between the per-unit round
+  // trips, so the epochs can differ slightly; the set is keyed by the
+  // last one (refolds are estimates over near-simultaneous views, and
+  // the next poll replaces the set wholesale anyway).
+  std::vector<UnitPull> pulls(fold_units_.size());
   for (size_t u = 0; u < fold_units_.size(); ++u) {
-    const uint32_t query_id =
-        static_cast<uint32_t>(fold_units_[u].representative);
-    Peer::UnitState& state = peer.units[u];
-    if (deltas_enabled && state.delta_capable) {
-      IMPLISTAT_ASSIGN_OR_RETURN(
-          std::string full, PullUnitDelta(peer, u, query_id, &epoch, stats));
-      snapshots.push_back(std::move(full));
-      continue;
-    }
-    auto response = peer.client->Snapshot(query_id);
-    if (!response.ok()) return response.status();
-    ++stats->full_pulls;
-    metrics_->snapshot_bytes_total->Increment(response->state.size());
-    epoch = response->epoch;
-    snapshots.push_back(std::move(response->state));
+    IMPLISTAT_RETURN_NOT_OK(FetchUnit(peer, u, deltas_enabled, &pulls[u]));
+  }
+  uint64_t epoch = 0;
+  bool changed = !peer.has_contribution;
+  for (size_t u = 0; u < fold_units_.size(); ++u) {
+    IMPLISTAT_ASSIGN_OR_RETURN(
+        bool unit_changed, ApplyUnit(peer, u, deltas_enabled,
+                                     std::move(pulls[u]), &epoch, stats));
+    changed = changed || unit_changed;
   }
 
-  bool changed = !peer.has_contribution || epoch != peer.epoch ||
-                 snapshots != peer.snapshots;
+  changed = changed || epoch != peer.epoch;
   bool was_included = peer.has_contribution && peer.health != PeerHealth::kStale;
   if (peer.has_contribution && epoch < peer.epoch) {
     peer.regressions_total->Increment();
@@ -370,7 +401,6 @@ Status AggregatorSupervisor::PullPeer(Peer& peer, int64_t now_ms,
     std::lock_guard<std::mutex> lock(mu_);
     ++peer.epoch_regressions;
   }
-  peer.snapshots = std::move(snapshots);
   peer.has_contribution = true;
   if (changed || !was_included) {
     fold_dirty_ = true;
@@ -384,57 +414,74 @@ Status AggregatorSupervisor::PullPeer(Peer& peer, int64_t now_ms,
   return Status::OK();
 }
 
-void AggregatorSupervisor::ScheduleRefold(int64_t now_ms) {
-  (void)now_ms;
-  // Assemble the fold input: base contribution plus every included
-  // (non-STALE, pulled-at-least-once) peer's latest snapshots. Copies are
-  // taken so the closure is self-contained — it may run later, on another
-  // thread (Server::InjectTask), after peers_ has moved on.
-  const size_t num_units = fold_units_.size();
-  auto per_unit = std::make_shared<std::vector<std::vector<std::string>>>();
-  per_unit->resize(num_units);
-  uint64_t total_tuples = base_tuples_;
-  for (size_t u = 0; u < num_units; ++u) {
-    if (!base_snapshots_.empty()) {
-      (*per_unit)[u].push_back(base_snapshots_[u]);
-    }
+StatusOr<std::unique_ptr<ImplicationEstimator>> AggregatorSupervisor::MergeUnit(
+    size_t u, const std::vector<const Peer*>& included) const {
+  const QueryEngine::FoldUnit& unit = fold_units_[u];
+  IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> fresh,
+                             MakeEstimator(unit.conditions, unit.config));
+  if (!base_.empty()) IMPLISTAT_RETURN_NOT_OK(fresh->MergeFrom(*base_[u]));
+  for (const Peer* peer : included) {
+    IMPLISTAT_RETURN_NOT_OK(fresh->MergeFrom(*peer->units[u].estimator));
   }
+  return fresh;
+}
+
+void AggregatorSupervisor::ScheduleRefold() {
+  // Build the new aggregate here, on the poll thread: per unit, a fresh
+  // estimator from the unit's recipe with the base and every included
+  // (non-STALE, pulled-at-least-once) peer's live contribution merged
+  // in. The closure below receives only these finished estimators — it
+  // may run later, on another thread (Server::InjectTask), after the
+  // twins have been patched again.
+  std::vector<const Peer*> included;
+  uint64_t total_tuples = base_tuples_;
   for (const auto& peer : peers_) {
     if (!peer->has_contribution || peer->health == PeerHealth::kStale) {
       continue;
     }
     total_tuples += peer->epoch;
-    for (size_t u = 0; u < num_units; ++u) {
-      (*per_unit)[u].push_back(peer->snapshots[u]);
+    included.push_back(peer.get());
+  }
+  auto folded = std::make_shared<std::vector<FoldedUnit>>();
+  folded->reserve(fold_units_.size());
+  bool merged_all = true;
+  for (size_t u = 0; u < fold_units_.size(); ++u) {
+    const QueryEngine::FoldUnit& unit = fold_units_[u];
+    StatusOr<std::unique_ptr<ImplicationEstimator>> fresh =
+        MergeUnit(u, included);
+    if (!fresh.ok()) {
+      // This unit keeps its previous estimator; the fold counts as
+      // failed but the other units still land.
+      obs::LogEvent(obs::LogLevel::kError, "cluster", "refold_failed")
+          .U64("synopsis", static_cast<uint64_t>(unit.synopsis))
+          .Str("error", fresh.status().ToString());
+      merged_all = false;
+      continue;
     }
+    folded->push_back(FoldedUnit{unit.synopsis, std::move(fresh).value()});
   }
 
   QueryEngine* engine = engine_;
   const Metrics* metrics = metrics_;
   auto folds_completed = folds_completed_;
-  // Copied so the closure stays self-contained off-thread.
-  std::vector<QueryEngine::FoldUnit> fold_units = fold_units_;
   // The fold may run later on another thread (Server::InjectTask), where
   // the poll span is no longer on the stack — so its context is captured
   // by value and handed to the fold span as an explicit parent, keeping
   // the whole poll -> pull -> fold chain on one trace id.
   const obs::SpanContext poll_context = obs::Tracer::CurrentContext();
-  fold_runner_([engine, metrics, folds_completed, fold_units, per_unit,
+  fold_runner_([engine, metrics, folds_completed, folded, merged_all,
                 total_tuples, poll_context] {
     obs::ScopedSpan span("cluster.fold", "cluster", poll_context);
-    span.Annotate("fold_units", static_cast<uint64_t>(fold_units.size()));
+    span.Annotate("fold_units", static_cast<uint64_t>(folded->size()));
     span.Annotate("tuples", total_tuples);
-    bool ok = true;
-    for (size_t u = 0; u < fold_units.size(); ++u) {
-      const std::vector<std::string>& contributions = (*per_unit)[u];
-      std::vector<std::string_view> views(contributions.begin(),
-                                          contributions.end());
+    bool ok = merged_all;
+    for (FoldedUnit& unit : *folded) {
       // Keyed by synopsis: every query sharing it sees this one fold.
-      Status status =
-          engine->RefoldSynopsisState(fold_units[u].synopsis, views);
+      Status status = engine->CommitSynopsisEstimator(
+          unit.synopsis, std::move(unit.estimator));
       if (!status.ok()) {
         obs::LogEvent(obs::LogLevel::kError, "cluster", "refold_failed")
-            .U64("synopsis", static_cast<uint64_t>(fold_units[u].synopsis))
+            .U64("synopsis", static_cast<uint64_t>(unit.synopsis))
             .Str("error", status.ToString());
         ok = false;
       }
@@ -465,7 +512,7 @@ PollStats AggregatorSupervisor::PollOnce(int64_t now_ms) {
     {
       obs::ScopedSpan pull_span("cluster.pull", "cluster");
       pull_span.SetDetail(peer.config.name.c_str());
-      status = PullPeer(peer, now_ms, &stats);
+      status = PullPeer(peer, &stats);
     }
     const PeerHealth previous_health = peer.health;
     std::lock_guard<std::mutex> lock(mu_);
@@ -520,7 +567,7 @@ PollStats AggregatorSupervisor::PollOnce(int64_t now_ms) {
   if (fold_dirty_) {
     fold_dirty_ = false;
     stats.refolded = true;
-    ScheduleRefold(now_ms);
+    ScheduleRefold();
   }
   return stats;
 }

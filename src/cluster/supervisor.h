@@ -7,24 +7,35 @@
 // would give.
 //
 // Semantics: replace-then-refold. The supervisor remembers every peer's
-// latest snapshot per query (keyed by the peer's epoch — its tuples_seen
+// latest state per fold unit (keyed by the peer's epoch — its tuples_seen
 // at serialize time) and rebuilds the aggregate from scratch whenever any
-// contribution changes: aggregate = fold(base, peers' latest snapshots).
+// contribution changes: aggregate = fold(base, peers' latest states).
 // Nothing ever accumulates into the aggregate twice, so a retried or
 // duplicated ship is idempotent by construction, and an edge that
 // crashes, restores from checkpoint and rejoins simply replaces its own
 // stale contribution — the aggregate converges back to the
 // single-process answer as soon as the edge catches up.
 //
-// Bandwidth: against wire-v6 peers the supervisor pulls SNAPSHOT_DELTA
-// patches keyed by the last acked epoch and folds each into a local twin
-// estimator (one per peer per fold unit). The twin's serialized state is
-// byte-identical to the full snapshot the edge would have shipped, so
-// replace-then-refold semantics — and the bytes the fold sees — are
-// unchanged; only the wire cost shrinks. Any refusal (edge restart,
-// evicted baseline, corrupt patch, delta-incapable synopsis kind) falls
-// back to a full snapshot in the same round — a "resync", counted in
+// Contributions: per peer and fold unit the supervisor holds one live
+// estimator, the unit's state as of the last successful pull. Against
+// wire-v6 peers it is a twin: SNAPSHOT_DELTA patches keyed by the last
+// acked epoch land in it, and its state stays byte-identical to the full
+// snapshot the edge would have shipped, so only the wire cost shrinks.
+// Kinds without deltas, --no-deltas and dialects pinned below v6 pull
+// full snapshots, each decoded once as it arrives (a re-ship of the same
+// bytes is recognized and not decoded again). A refold merges these
+// estimators directly; no bytes travel between the pull and the fold.
+// Any refusal (edge restart, evicted baseline, corrupt patch) falls back
+// to a full snapshot in the same round — a "resync", counted in
 // implistat_delta_resyncs_total — and re-arms delta pulls from there.
+//
+// Fetch, then apply: a pull collects every unit's response (and decodes
+// every full snapshot) before it changes any contribution, so an edge
+// that fails mid-pull keeps its contribution exactly as its last
+// successful pull left it. One exception remains: when a patch is
+// refused and its in-round resync then fails too, the units applied
+// before it already moved on, so the peer's DEGRADED contribution mixes
+// epochs until its next successful pull replaces it.
 //
 // Health state machine, per peer:
 //
@@ -32,19 +43,24 @@
 //      ^                    |  ^                                |
 //      +---- success -------+  +------------- success ---------+
 //
-// DEGRADED peers keep their last snapshot in the fold (the data is good,
-// just aging); STALE peers are excluded from the fold and reported in
-// QUERY warnings until they answer again. Failed peers are retried on a
-// bounded exponential backoff with deterministic jitter so a rebooting
+// DEGRADED peers keep their last contribution in the fold (the data is
+// good, just aging); STALE peers are excluded from the fold and reported
+// in QUERY warnings until they answer again. Failed peers are retried on
+// a bounded exponential backoff with deterministic jitter so a rebooting
 // fleet does not see synchronized retry storms.
 //
 // Threading: PollOnce does all peer I/O and must be called from one
-// thread at a time (Start() runs it on an internal thread). Folds are
-// handed to a TaskRunner — inline by default (the supervisor owns the
-// engine), or Server::InjectTask when the aggregate is simultaneously
-// served over the wire (the fold then runs on the serving loop thread,
-// preserving the engine's single-thread contract). PeerStatuses() and
-// QueryWarnings() are thread-safe readers.
+// thread at a time (Start() runs it on an internal thread). It also
+// builds each refold: one fresh estimator per fold unit with the base
+// and every included contribution merged in. The fold itself is a
+// closure handed to a TaskRunner — inline by default (the supervisor
+// owns the engine), or Server::InjectTask when the aggregate is
+// simultaneously served over the wire (the fold then runs on the serving
+// loop thread, preserving the engine's single-thread contract). The
+// closure owns those finished estimators and only swaps them in, so it
+// holds no reference to any twin: a fold that runs after the next poll
+// has started patching twins stays correct without locks or copies.
+// PeerStatuses() and QueryWarnings() are thread-safe readers.
 //
 // Hierarchy: an aggregator is itself a server, and its SNAPSHOT response
 // carries its folded state with epoch = sum of folded peer epochs, so a
@@ -168,10 +184,11 @@ class AggregatorSupervisor {
   AggregatorSupervisor(const AggregatorSupervisor&) = delete;
   AggregatorSupervisor& operator=(const AggregatorSupervisor&) = delete;
 
-  /// Captures the aggregate engine's own pre-supervision state (a locally
-  /// ingested CSV, a restored checkpoint) as a base contribution included
-  /// in every refold. Call once, before any poll, while the engine is
-  /// still safe to touch from this thread.
+  /// Captures the aggregate engine's fold units and decodes its own
+  /// pre-supervision state (a locally ingested CSV, a restored
+  /// checkpoint) once into a base contribution included in every refold.
+  /// Call once, before any poll, while the engine is still safe to touch
+  /// from this thread; the supervisor never reads the engine again.
   Status Init();
 
   /// One supervision round at (monotonic) time `now_ms`: attempts every
@@ -203,36 +220,50 @@ class AggregatorSupervisor {
  private:
   struct Peer;
   struct Metrics;
+  struct UnitPull;
 
-  // Pulls every fold unit's snapshot from `peer`; OK only if all arrive.
-  // Pull-mode counts and resyncs are tallied into `stats`.
-  Status PullPeer(Peer& peer, int64_t now_ms, PollStats* stats);
-  // One fold unit's delta-aware pull: requests a patch against the acked
-  // baseline, folds it into the peer's twin estimator, and returns the
-  // full serialized state the refold uses (byte-identical to what a full
-  // SNAPSHOT would have shipped). Refusals resync via a full pull.
-  StatusOr<std::string> PullUnitDelta(Peer& peer, size_t unit_index,
-                                      uint32_t query_id, uint64_t* epoch,
-                                      PollStats* stats);
-  void ScheduleRefold(int64_t now_ms);
+  // Pulls every fold unit from `peer`: fetches (and decodes) all
+  // responses first, then applies them; OK only if all arrive. Pull-mode
+  // counts and resyncs are tallied into `stats`.
+  Status PullPeer(Peer& peer, PollStats* stats);
+  // Requests unit `u`'s state — a patch against the acked epoch when
+  // `deltas_enabled` and the kind serves deltas, else a full snapshot —
+  // and decodes a full answer into a fresh estimator without touching
+  // the unit's contribution.
+  Status FetchUnit(Peer& peer, size_t u, bool deltas_enabled, UnitPull* pull);
+  // Lands a fetched response in unit `u`'s contribution: applies the
+  // patch to the twin or installs the decoded snapshot. A refused patch
+  // resyncs with a full pull in the same round. Returns whether the
+  // contribution changed; `epoch` receives the response's epoch.
+  StatusOr<bool> ApplyUnit(Peer& peer, size_t u, bool deltas_enabled,
+                           UnitPull pull, uint64_t* epoch, PollStats* stats);
+  // A fresh estimator from unit `u`'s recipe with the base and every
+  // `included` peer's contribution merged in.
+  StatusOr<std::unique_ptr<ImplicationEstimator>> MergeUnit(
+      size_t u, const std::vector<const Peer*>& included) const;
+  // Merges every unit on this thread, then hands the swap to the fold
+  // runner.
+  void ScheduleRefold();
   void RunLoop();
 
   QueryEngine* engine_;
   SupervisorOptions options_;
   TaskRunner fold_runner_;
   /// The aggregate engine's fold units, captured at Init(): one per live
-  /// synopsis, addressed over the wire by its representative query id.
-  /// Folding per unit (not per query) means a synopsis shared by n
-  /// queries is pulled and refolded exactly once per round instead of n
-  /// times — and can never double-count.
+  /// synopsis, addressed over the wire by its representative query id
+  /// and rebuilt from its recipe. Folding per unit (not per query) means
+  /// a synopsis shared by n queries is pulled and refolded exactly once
+  /// per round instead of n times — and can never double-count.
   std::vector<QueryEngine::FoldUnit> fold_units_;
 
-  // Base contribution (the engine's own pre-supervision state).
-  std::vector<std::string> base_snapshots_;
+  // Base contribution (the engine's own pre-supervision state), one
+  // decoded estimator per fold unit; empty when the engine started empty.
+  std::vector<std::unique_ptr<ImplicationEstimator>> base_;
   uint64_t base_tuples_ = 0;
   bool initialized_ = false;
 
-  // Poll-thread state: peers (clients, snapshots, schedule) and jitter.
+  // Poll-thread state: peers (clients, contributions, schedule) and
+  // jitter.
   std::vector<std::unique_ptr<Peer>> peers_;
   Rng jitter_rng_;
   bool fold_dirty_ = false;

@@ -458,20 +458,30 @@ Status QueryEngine::RefoldSynopsisState(
     IMPLISTAT_RETURN_NOT_OK(fresh->MergeFrom(*twin));
   }
   // Everything decoded and folded cleanly — only now replace the live
-  // estimator (same instrumentation wrap as Register).
-  entry.estimator = obs::MaybeInstrument(std::move(fresh));
+  // estimator.
+  return CommitSynopsisEstimator(id, std::move(fresh));
+}
+
+Status QueryEngine::CommitSynopsisEstimator(
+    SynopsisId id, std::unique_ptr<ImplicationEstimator> estimator) {
+  if (id < 0 || id >= store_.size() || !store_.entry(id).live()) {
+    return Status::NotFound("no such synopsis");
+  }
+  // Same instrumentation wrap as Register.
+  store_.entry(id).estimator = obs::MaybeInstrument(std::move(estimator));
   return Status::OK();
 }
 
 std::vector<QueryEngine::FoldUnit> QueryEngine::FoldUnits() const {
   std::vector<FoldUnit> units;
   for (SynopsisId sid = 0; sid < store_.size(); ++sid) {
-    if (!store_.entry(sid).live()) continue;
+    const SynopsisEntry& entry = store_.entry(sid);
+    if (!entry.live()) continue;
     for (QueryId qid = 0; qid < num_queries(); ++qid) {
       const RegisteredQuery& query = queries_[qid];
       if (query.active && query.binding != QueryBinding::kDerived &&
           query.synopsis == sid) {
-        units.push_back(FoldUnit{sid, qid});
+        units.push_back(FoldUnit{sid, qid, entry.conditions, entry.config});
         break;
       }
     }

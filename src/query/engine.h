@@ -146,21 +146,33 @@ class QueryEngine {
   /// refolding is idempotent by construction — feeding the same set of
   /// per-peer snapshots twice yields the same state, so a retried or
   /// duplicated ship can never double-count. This is the aggregation
-  /// tier's fold primitive (src/cluster/), keyed by synopsis so a shared
-  /// estimator folds exactly once per fleet poll. Builds into
-  /// temporaries and swaps last: on failure the previous estimator
-  /// stays untouched.
+  /// tier's reference fold (the supervisor in src/cluster/ merges live
+  /// estimators instead and commits through CommitSynopsisEstimator),
+  /// keyed by synopsis so a shared estimator folds exactly once per fleet
+  /// poll. Builds into temporaries and swaps last: on failure the
+  /// previous estimator stays untouched.
   Status RefoldSynopsisState(SynopsisId id,
                              const std::vector<std::string_view>& snapshots);
 
-  /// One fold unit per live synopsis: the synopsis id plus a
-  /// representative (first active, non-derived) query bound to it — the
-  /// query id an aggregator uses for SNAPSHOT pulls, since the wire
-  /// addresses estimator state by query id. Synopses alive only through
-  /// derived references have no representative and are omitted.
+  /// Swaps `estimator` in as synopsis `id`'s live state, instrumented
+  /// like every engine-built estimator — the commit half of a refold.
+  /// The caller built it from the synopsis recipe (FoldUnit) and merged
+  /// every contribution into it. NotFound for a dead synopsis.
+  Status CommitSynopsisEstimator(
+      SynopsisId id, std::unique_ptr<ImplicationEstimator> estimator);
+
+  /// One fold unit per live synopsis: the synopsis id, a representative
+  /// (first active, non-derived) query bound to it — the query id an
+  /// aggregator uses for SNAPSHOT pulls, since the wire addresses
+  /// estimator state by query id — and the synopsis recipe, from which
+  /// MakeEstimator builds a compatible empty estimator without touching
+  /// the engine. Synopses alive only through derived references have no
+  /// representative and are omitted.
   struct FoldUnit {
     SynopsisId synopsis = -1;
     QueryId representative = -1;
+    ImplicationConditions conditions;
+    EstimatorConfig config;
   };
   std::vector<FoldUnit> FoldUnits() const;
 

@@ -2,13 +2,17 @@
 // multi-edge convergence to the single-process answer, idempotent
 // re-shipping (replace-then-refold), HEALTHY → DEGRADED → STALE health
 // transitions with fold exclusion and warning reporting, backoff
-// scheduling, and the crash → restore-from-checkpoint → rejoin flow
-// converging with no double counting. Polls are driven with a synthetic
-// clock so every backoff and staleness transition is deterministic.
+// scheduling, the crash → restore-from-checkpoint → rejoin flow
+// converging with no double counting, and the direct fold of live twins
+// staying byte-identical to the reference refold of full snapshots
+// (queued folds, pulls that fail part-way). Polls are driven with a
+// synthetic clock so every backoff and staleness transition is
+// deterministic.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -146,6 +150,83 @@ void ExpectSameAnswers(QueryEngine& aggregate, QueryEngine& expected) {
     // the single-process run — any tolerance would hide double counting.
     EXPECT_EQ(*got, *want) << "query " << id;
   }
+}
+
+// The same two queries with the NIPS/CI one first, so fold unit 0 is the
+// delta-capable unit and unit 1 the exact (full-pull) one.
+void RegisterNipsFirst(QueryEngine& engine) {
+  ASSERT_TRUE(engine.Register(NipsSpec()).ok());
+  ASSERT_TRUE(engine.Register(ExactSpec()).ok());
+}
+
+// SerializeState of every fold unit of `engine`, in fold-unit order.
+std::vector<std::string> FoldUnitStates(QueryEngine& engine) {
+  std::vector<std::string> states;
+  for (const QueryEngine::FoldUnit& unit : engine.FoldUnits()) {
+    auto estimator = engine.Estimator(unit.representative);
+    EXPECT_TRUE(estimator.ok());
+    if (!estimator.ok()) return states;
+    auto state = (*estimator)->SerializeState();
+    EXPECT_TRUE(state.ok());
+    states.push_back(state.ok() ? *state : std::string());
+  }
+  return states;
+}
+
+// Unit-by-unit byte equality, reporting where the first difference sits
+// (the states are binary; gtest's dump of them is unreadable).
+void ExpectSameUnitStates(const std::vector<std::string>& got,
+                          const std::vector<std::string>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t u = 0; u < want.size(); ++u) {
+    if (got[u] == want[u]) continue;
+    size_t at = 0;
+    while (at < got[u].size() && at < want[u].size() &&
+           got[u][at] == want[u][at]) {
+      ++at;
+    }
+    ADD_FAILURE() << "fold unit " << u << " differs at byte " << at << " of "
+                  << want[u].size() << " (got " << got[u].size() << ")";
+  }
+}
+
+// Every fold unit of `aggregate` pulled from `edge` as a full SNAPSHOT.
+std::vector<std::string> FullPulls(Edge& edge, QueryEngine& aggregate) {
+  std::vector<std::string> states;
+  auto client = edge.Connect();
+  EXPECT_TRUE(client.ok());
+  if (!client.ok()) return states;
+  for (const QueryEngine::FoldUnit& unit : aggregate.FoldUnits()) {
+    auto full =
+        client->Snapshot(static_cast<uint32_t>(unit.representative));
+    EXPECT_TRUE(full.ok()) << full.status();
+    states.push_back(full.ok() ? full->state : std::string());
+  }
+  return states;
+}
+
+// Byte identity with the reference path: RefoldSynopsisState over
+// `contributions` (one state per fold unit each, in fold order — base
+// first, then peers in supervision order) must reproduce every fold
+// unit of `aggregate` bit for bit.
+void ExpectFoldMatchesReference(
+    QueryEngine& aggregate,
+    const std::vector<std::vector<std::string>>& contributions,
+    void (*registrar)(QueryEngine&) = RegisterSuite) {
+  QueryEngine reference(TestSchema());
+  registrar(reference);
+  const std::vector<QueryEngine::FoldUnit> units = reference.FoldUnits();
+  ASSERT_EQ(units.size(), aggregate.FoldUnits().size());
+  for (size_t u = 0; u < units.size(); ++u) {
+    std::vector<std::string_view> views;
+    for (const std::vector<std::string>& states : contributions) {
+      ASSERT_EQ(states.size(), units.size());
+      views.push_back(states[u]);
+    }
+    Status refolded = reference.RefoldSynopsisState(units[u].synopsis, views);
+    ASSERT_TRUE(refolded.ok()) << refolded;
+  }
+  ExpectSameUnitStates(FoldUnitStates(aggregate), FoldUnitStates(reference));
 }
 
 TEST(ClusterBackoffTest, DelaysDoubleAndCapWithJitterInRange) {
@@ -571,6 +652,194 @@ TEST(ClusterDeltaTest, FullPullModesNeverShipDeltas) {
     EXPECT_EQ(second.full_pulls, 2);
     ExpectSameAnswers(aggregate, single);
   }
+}
+
+// The fold merges the live twins directly; it must produce the very bytes
+// the reference path (RefoldSynopsisState over full snapshots) produces,
+// through bootstrap, patched rounds, a quiet round and a restart resync.
+TEST(ClusterFoldTest, DirectFoldIsByteIdenticalToTheReferenceRefold) {
+  const std::string ckpt = ::testing::TempDir() + "/fold_edge_a.ckpt";
+  Edge edge_a;
+  Edge edge_b;
+  RegisterSuite(edge_a.engine());
+  FeedLocal(edge_a.engine(), 0, 300);
+  ASSERT_TRUE(edge_a.engine().Checkpoint(ckpt).ok());
+  FeedLocal(edge_a.engine(), 300, 400);
+  RegisterSuite(edge_b.engine());
+  FeedLocal(edge_b.engine(), 400, 800);
+  edge_a.Start();
+  edge_b.Start();
+
+  // The aggregate's own rows are the base contribution.
+  QueryEngine aggregate(TestSchema());
+  RegisterSuite(aggregate);
+  FeedLocal(aggregate, 800, 1000);
+  const std::vector<std::string> base = FoldUnitStates(aggregate);
+  AggregatorSupervisor supervisor(&aggregate,
+                                  {edge_a.Config("a"), edge_b.Config("b")},
+                                  TestOptions());
+  ASSERT_TRUE(supervisor.Init().ok());
+  auto expect_reference = [&] {
+    ExpectFoldMatchesReference(
+        aggregate, {base, FullPulls(edge_a, aggregate),
+                    FullPulls(edge_b, aggregate)});
+  };
+
+  PollStats bootstrap = supervisor.PollOnce(0);
+  ASSERT_TRUE(bootstrap.refolded);
+  EXPECT_EQ(bootstrap.full_pulls, 4);
+  expect_reference();
+
+  // Both edges ingest: the NIPS/CI units patch their twins, the exact
+  // units re-ship in full.
+  {
+    auto client_a = edge_a.Connect();
+    auto client_b = edge_b.Connect();
+    ASSERT_TRUE(client_a.ok() && client_b.ok());
+    ASSERT_TRUE(client_a->ObserveBatch(IdBatch(1000, 1100)).ok());
+    ASSERT_TRUE(client_b->ObserveBatch(IdBatch(1100, 1300)).ok());
+  }
+  PollStats patched = supervisor.PollOnce(1000);
+  ASSERT_TRUE(patched.refolded);
+  EXPECT_EQ(patched.delta_pulls, 2);
+  EXPECT_EQ(patched.full_pulls, 2);
+  expect_reference();
+
+  // Quiet round: nothing moved, nothing refolds, the bytes still match.
+  PollStats quiet = supervisor.PollOnce(2000);
+  EXPECT_FALSE(quiet.refolded);
+  expect_reference();
+
+  // Edge A restarts from its checkpoint: one failed poll (the old
+  // connection died), then a resync that replaces A's twin.
+  edge_a.Stop();
+  edge_a.Reset();
+  ASSERT_TRUE(edge_a.engine().Restore(ckpt).ok());
+  edge_a.Start();
+  EXPECT_EQ(supervisor.PollOnce(3000).failed, 1);
+  PollStats rejoin = supervisor.PollOnce(4000);
+  ASSERT_EQ(rejoin.succeeded, 2);
+  EXPECT_TRUE(rejoin.refolded);
+  EXPECT_EQ(rejoin.resyncs, 1);
+  EXPECT_EQ(aggregate.tuples_seen(), 200u + 300u + 600u);
+  expect_reference();
+
+  // Deltas resume against the post-restart baseline.
+  {
+    auto client = edge_a.Connect();
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->ObserveBatch(IdBatch(300, 400)).ok());
+  }
+  PollStats resumed = supervisor.PollOnce(5000);
+  EXPECT_TRUE(resumed.refolded);
+  EXPECT_EQ(resumed.delta_pulls, 2);
+  EXPECT_EQ(resumed.resyncs, 0);
+  expect_reference();
+
+  std::remove(ckpt.c_str());
+}
+
+// A runner that queues folds: the next poll patches the twins while an
+// earlier fold is still pending. Each fold must carry the state of the
+// poll that scheduled it, not whatever the twins hold when it runs. The
+// bytes are checked against the reference refold of a single-process
+// engine at that epoch (a fold never reproduces a streamed estimator's
+// own bytes: the exact counter serializes in hash-map order), the
+// answers against the engine itself.
+TEST(ClusterFoldTest, QueuedFoldOwnsItsInputs) {
+  Edge edge;
+  RegisterSuite(edge.engine());
+  FeedLocal(edge.engine(), 0, 600);
+  edge.Start();
+
+  QueryEngine aggregate(TestSchema());
+  RegisterSuite(aggregate);
+  std::vector<std::function<void()>> queued;
+  AggregatorSupervisor supervisor(
+      &aggregate, {edge.Config("edge")}, TestOptions(),
+      [&queued](std::function<void()> task) {
+        queued.push_back(std::move(task));
+      });
+  ASSERT_TRUE(supervisor.Init().ok());
+
+  ASSERT_TRUE(supervisor.PollOnce(0).refolded);
+  {
+    auto client = edge.Connect();
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->ObserveBatch(IdBatch(600, 900)).ok());
+  }
+  PollStats second = supervisor.PollOnce(1000);
+  ASSERT_TRUE(second.refolded);
+  EXPECT_EQ(second.delta_pulls, 1);  // the twin moved on under fold 1
+  ASSERT_EQ(queued.size(), 2u);
+  EXPECT_EQ(supervisor.folds_completed(), 0u);
+
+  QueryEngine single(TestSchema());
+  RegisterSuite(single);
+  FeedLocal(single, 0, 600);
+  queued[0]();
+  ExpectFoldMatchesReference(aggregate, {FoldUnitStates(single)});
+  ExpectSameAnswers(aggregate, single);
+  EXPECT_EQ(aggregate.tuples_seen(), 600u);
+
+  FeedLocal(single, 600, 900);
+  queued[1]();
+  ExpectFoldMatchesReference(aggregate, {FoldUnitStates(single)});
+  ExpectSameAnswers(aggregate, single);
+  EXPECT_EQ(aggregate.tuples_seen(), 900u);
+  EXPECT_EQ(supervisor.folds_completed(), 2u);
+}
+
+// Fetch, then apply: edge A's unit 0 answers a patch and its unit 1
+// fails, so A goes DEGRADED with the contribution of its last good pull
+// — unit 0 must not have moved to the new epoch on its own.
+TEST(ClusterFoldTest, PullFailingPartWayKeepsTheLastGoodContribution) {
+  Edge edge_a;
+  Edge edge_b;
+  RegisterNipsFirst(edge_a.engine());
+  RegisterNipsFirst(edge_b.engine());
+  FeedLocal(edge_a.engine(), 0, 400);
+  FeedLocal(edge_b.engine(), 400, 800);
+  edge_a.Start();
+  edge_b.Start();
+
+  QueryEngine aggregate(TestSchema());
+  RegisterNipsFirst(aggregate);
+  AggregatorSupervisor supervisor(&aggregate,
+                                  {edge_a.Config("a"), edge_b.Config("b")},
+                                  TestOptions());
+  ASSERT_TRUE(supervisor.Init().ok());
+  ASSERT_TRUE(supervisor.PollOnce(0).refolded);
+
+  // A comes back on the same port with unit 0 moved on and unit 1's
+  // representative gone: its patch arrives, its second pull NotFound.
+  edge_a.Stop();
+  const std::vector<std::string> a_before = FoldUnitStates(edge_a.engine());
+  ASSERT_TRUE(edge_a.engine().Deregister(1).ok());
+  FeedLocal(edge_a.engine(), 800, 900);
+  edge_a.Start();
+  PollStats dead = supervisor.PollOnce(1000);  // the old connection died
+  EXPECT_EQ(dead.failed, 1);
+  EXPECT_FALSE(dead.refolded);
+
+  {
+    auto client = edge_b.Connect();
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->ObserveBatch(IdBatch(900, 1000)).ok());
+  }
+  PollStats partial = supervisor.PollOnce(2000);
+  EXPECT_EQ(partial.failed, 1);
+  EXPECT_EQ(partial.succeeded, 1);
+  EXPECT_TRUE(partial.refolded);  // B moved
+  const PeerStatus status_a = supervisor.PeerStatuses()[0];
+  EXPECT_EQ(status_a.health, PeerHealth::kDegraded);
+  EXPECT_NE(status_a.last_error.find("deregistered"), std::string::npos)
+      << status_a.last_error;
+
+  ExpectFoldMatchesReference(aggregate,
+                             {a_before, FullPulls(edge_b, aggregate)},
+                             RegisterNipsFirst);
+  EXPECT_EQ(aggregate.tuples_seen(), 400u + 500u);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 // and reported in every QUERY response's warnings until it returns.
 // The aggregate is rebuilt by replace-then-refold (src/cluster/), so
 // re-shipped snapshots never double count and restarted edges converge
-// back to the single-process answer. Against wire-v6 edges the pulls
+// back to the single-process answer. By default the pulls
 // ship SNAPSHOT_DELTA patches against the last acked epoch (a fraction
 // of the full snapshot's bytes; --no-deltas reverts to full pulls), and
 // any refusal resyncs with one full snapshot automatically.
@@ -72,10 +72,7 @@ int Usage(const char* argv0) {
       << "  --stale-after N         consecutive failures before a peer is\n"
       << "                          STALE and excluded (default 3)\n"
       << "  --no-deltas             pull full snapshots every round instead\n"
-      << "                          of SNAPSHOT_DELTA patches (wire v6)\n"
-      << "  --wire-version N        wire dialect to speak to peers (default\n"
-      << "                          6; pin 5 for fleets of older edges —\n"
-      << "                          implies full-snapshot pulls)\n"
+      << "                          of SNAPSHOT_DELTA patches\n"
       << "  --trace-sample N        record 1 in N traces (default 64;\n"
       << "                          1 = every poll/request, 0 = none)\n"
       << "  --trace-json PATH       dump recorded spans as Chrome\n"
@@ -152,18 +149,6 @@ int main(int argc, char** argv) {
       supervisor_options.stale_after_failures = std::atoi(v);
     } else if (arg == "--no-deltas") {
       supervisor_options.use_deltas = false;
-    } else if (arg == "--wire-version") {
-      const char* v = take_value("--wire-version");
-      if (v == nullptr) return 2;
-      int version = std::atoi(v);
-      if (version < static_cast<int>(net::kWireMinProtocolVersion) ||
-          version > static_cast<int>(net::kWireProtocolVersion)) {
-        std::cerr << "--wire-version must be between "
-                  << net::kWireMinProtocolVersion << " and "
-                  << net::kWireProtocolVersion << "\n";
-        return 2;
-      }
-      supervisor_options.wire_version = static_cast<uint64_t>(version);
     } else if (arg == "--trace-sample") {
       const char* v = take_value("--trace-sample");
       if (v == nullptr) return 2;

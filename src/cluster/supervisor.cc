@@ -146,7 +146,6 @@ struct AggregatorSupervisor::Peer {
   };
   std::vector<UnitState> units;
   bool has_contribution = false;
-  bool logged_full_mode = false;
 
   // Reader-visible fields (guarded by the supervisor's mu_).
   PeerHealth health = PeerHealth::kHealthy;
@@ -251,11 +250,11 @@ Status AggregatorSupervisor::Init() {
 }
 
 Status AggregatorSupervisor::FetchUnit(Peer& peer, size_t u,
-                                       bool deltas_enabled, UnitPull* pull) {
+                                       UnitPull* pull) {
   const QueryEngine::FoldUnit& unit = fold_units_[u];
   const uint32_t query_id = static_cast<uint32_t>(unit.representative);
   const Peer::UnitState& state = peer.units[u];
-  if (deltas_enabled && state.delta_capable) {
+  if (options_.use_deltas && state.delta_capable) {
     pull->since = state.acked_epoch;
     IMPLISTAT_ASSIGN_OR_RETURN(
         pull->response,
@@ -278,7 +277,7 @@ Status AggregatorSupervisor::FetchUnit(Peer& peer, size_t u,
   const std::string& bytes = pull->response.state;
   IMPLISTAT_ASSIGN_OR_RETURN(SnapshotKind kind, PeekSnapshotKind(bytes));
   pull->delta_capable = KindSupportsDeltas(kind);
-  const bool full_path = !(deltas_enabled && pull->delta_capable);
+  const bool full_path = !(options_.use_deltas && pull->delta_capable);
   if (full_path && state.estimator != nullptr && bytes == state.full_state) {
     return Status::OK();  // the decoded contribution already holds these
   }
@@ -288,7 +287,6 @@ Status AggregatorSupervisor::FetchUnit(Peer& peer, size_t u,
 }
 
 StatusOr<bool> AggregatorSupervisor::ApplyUnit(Peer& peer, size_t u,
-                                               bool deltas_enabled,
                                                UnitPull pull, uint64_t* epoch,
                                                PollStats* stats) {
   Peer::UnitState& state = peer.units[u];
@@ -322,7 +320,7 @@ StatusOr<bool> AggregatorSupervisor::ApplyUnit(Peer& peer, size_t u,
     state.acked_epoch = 0;
     lost_baseline = true;
     pull = UnitPull();
-    IMPLISTAT_RETURN_NOT_OK(FetchUnit(peer, u, deltas_enabled, &pull));
+    IMPLISTAT_RETURN_NOT_OK(FetchUnit(peer, u, &pull));
   }
 
   ++stats->full_pulls;
@@ -336,7 +334,7 @@ StatusOr<bool> AggregatorSupervisor::ApplyUnit(Peer& peer, size_t u,
   // A full snapshot replaces the contribution: delta-capable kinds become
   // the twin the next round patches, the rest keep their bytes for the
   // next comparison.
-  const bool twin = deltas_enabled && pull.delta_capable;
+  const bool twin = options_.use_deltas && pull.delta_capable;
   state.estimator = std::move(pull.decoded);
   state.delta_capable = pull.delta_capable;
   state.acked_epoch = twin ? pull.response.epoch : 0;
@@ -349,7 +347,6 @@ Status AggregatorSupervisor::PullPeer(Peer& peer, PollStats* stats) {
     net::ClientOptions client_options;
     client_options.connect_timeout_ms = options_.connect_timeout_ms;
     client_options.request_timeout_ms = options_.rpc_deadline_ms;
-    client_options.wire_version = options_.wire_version;
     auto connected = net::Client::Connect(peer.config.host, peer.config.port,
                                           client_options);
     if (!connected.ok()) return connected.status();
@@ -358,16 +355,6 @@ Status AggregatorSupervisor::PullPeer(Peer& peer, PollStats* stats) {
     IMPLISTAT_RETURN_NOT_OK(peer.client->Reconnect());
   }
 
-  const bool deltas_enabled =
-      options_.use_deltas && peer.client->negotiated_version() >= 6;
-  if (options_.use_deltas && !deltas_enabled && !peer.logged_full_mode) {
-    // The pinned dialect predates SNAPSHOT_DELTA — say so once per peer
-    // so an operator can see why this edge ships full snapshots.
-    obs::LogEvent(obs::LogLevel::kInfo, "cluster", "delta_unsupported")
-        .Str("peer", peer.config.name)
-        .U64("negotiated_version", peer.client->negotiated_version());
-    peer.logged_full_mode = true;
-  }
   // Pull one state per fold unit, addressed by the unit's representative
   // query id (the wire names estimator state by query; the edge resolves
   // it to the same shared synopsis). Every response is fetched before
@@ -379,14 +366,14 @@ Status AggregatorSupervisor::PullPeer(Peer& peer, PollStats* stats) {
   // the next poll replaces the set wholesale anyway).
   std::vector<UnitPull> pulls(fold_units_.size());
   for (size_t u = 0; u < fold_units_.size(); ++u) {
-    IMPLISTAT_RETURN_NOT_OK(FetchUnit(peer, u, deltas_enabled, &pulls[u]));
+    IMPLISTAT_RETURN_NOT_OK(FetchUnit(peer, u, &pulls[u]));
   }
   uint64_t epoch = 0;
   bool changed = !peer.has_contribution;
   for (size_t u = 0; u < fold_units_.size(); ++u) {
     IMPLISTAT_ASSIGN_OR_RETURN(
-        bool unit_changed, ApplyUnit(peer, u, deltas_enabled,
-                                     std::move(pulls[u]), &epoch, stats));
+        bool unit_changed,
+        ApplyUnit(peer, u, std::move(pulls[u]), &epoch, stats));
     changed = changed || unit_changed;
   }
 

@@ -17,14 +17,14 @@
 // single-process answer as soon as the edge catches up.
 //
 // Contributions: per peer and fold unit the supervisor holds one live
-// estimator, the unit's state as of the last successful pull. Against
-// wire-v6 peers it is a twin: SNAPSHOT_DELTA patches keyed by the last
-// acked epoch land in it, and its state stays byte-identical to the full
-// snapshot the edge would have shipped, so only the wire cost shrinks.
-// Kinds without deltas, --no-deltas and dialects pinned below v6 pull
-// full snapshots, each decoded once as it arrives (a re-ship of the same
-// bytes is recognized and not decoded again). A refold merges these
-// estimators directly; no bytes travel between the pull and the fold.
+// estimator, the unit's state as of the last successful pull. By default
+// it is a twin: SNAPSHOT_DELTA patches keyed by the last acked epoch
+// land in it, and its state stays byte-identical to the full snapshot
+// the edge would have shipped, so only the wire cost shrinks. Kinds
+// without deltas and --no-deltas pull full snapshots, each decoded once
+// as it arrives (a re-ship of the same bytes is recognized and not
+// decoded again). A refold merges these estimators directly; no bytes
+// travel between the pull and the fold.
 // Any refusal (edge restart, evicted baseline, corrupt patch) falls back
 // to a full snapshot in the same round — a "resync", counted in
 // implistat_delta_resyncs_total — and re-arms delta pulls from there.
@@ -118,16 +118,11 @@ struct SupervisorOptions {
   int stale_after_failures = 3;
   /// Seed for the deterministic backoff jitter (tests pin it).
   uint64_t jitter_seed = 0xc105ce5;
-  /// Pull SNAPSHOT_DELTA patches (wire v6) against the last acked epoch
-  /// instead of full snapshots. Peers pinned below v6 and snapshot kinds
-  /// without delta support fall back to full pulls automatically; any
-  /// refused patch resyncs with a full snapshot in the same round.
+  /// Pull SNAPSHOT_DELTA patches against the last acked epoch instead
+  /// of full snapshots. Snapshot kinds without delta support fall back
+  /// to full pulls automatically; any refused patch resyncs with a full
+  /// snapshot in the same round.
   bool use_deltas = true;
-  /// Wire dialect to speak to peers (net::ClientOptions::wire_version —
-  /// there is no in-band negotiation). Pin below 6 while a fleet still
-  /// runs older edges; the supervisor then stays on full-snapshot pulls
-  /// and logs that the pinned dialect forced it.
-  uint64_t wire_version = net::kWireProtocolVersion;
 };
 
 /// The jittered backoff delay before retry number `consecutive_failures`
@@ -227,16 +222,16 @@ class AggregatorSupervisor {
   // counts and resyncs are tallied into `stats`.
   Status PullPeer(Peer& peer, PollStats* stats);
   // Requests unit `u`'s state — a patch against the acked epoch when
-  // `deltas_enabled` and the kind serves deltas, else a full snapshot —
+  // use_deltas is on and the kind serves deltas, else a full snapshot —
   // and decodes a full answer into a fresh estimator without touching
   // the unit's contribution.
-  Status FetchUnit(Peer& peer, size_t u, bool deltas_enabled, UnitPull* pull);
+  Status FetchUnit(Peer& peer, size_t u, UnitPull* pull);
   // Lands a fetched response in unit `u`'s contribution: applies the
   // patch to the twin or installs the decoded snapshot. A refused patch
   // resyncs with a full pull in the same round. Returns whether the
   // contribution changed; `epoch` receives the response's epoch.
-  StatusOr<bool> ApplyUnit(Peer& peer, size_t u, bool deltas_enabled,
-                           UnitPull pull, uint64_t* epoch, PollStats* stats);
+  StatusOr<bool> ApplyUnit(Peer& peer, size_t u, UnitPull pull,
+                           uint64_t* epoch, PollStats* stats);
   // A fresh estimator from unit `u`'s recipe with the base and every
   // `included` peer's contribution merged in.
   StatusOr<std::unique_ptr<ImplicationEstimator>> MergeUnit(

@@ -320,8 +320,7 @@ Status Client::Submit(MsgType type, std::string_view bytes,
     sent = SendDraining(bytes, deadline_ms);
   } else {
     sent = SendDraining(
-        EncodeRequestFrame(type, bytes, obs::Tracer::CurrentContext(),
-                           options_.wire_version),
+        EncodeRequestFrame(type, bytes, obs::Tracer::CurrentContext()),
         deadline_ms);
   }
   IMPLISTAT_RETURN_NOT_OK(std::move(sent));
@@ -352,8 +351,7 @@ StatusOr<std::string> Client::Await() {
 }
 
 StatusOr<std::string> Client::RoundTrip(MsgType type,
-                                        std::string_view payload,
-                                        uint64_t* response_version) {
+                                        std::string_view payload) {
   if (connection_lost()) {
     return Status::Unavailable("connection lost (call Reconnect)");
   }
@@ -362,7 +360,7 @@ StatusOr<std::string> Client::RoundTrip(MsgType type,
         "RoundTrip with " + std::to_string(pipeline_.size()) +
         " pipelined requests in flight; Await() them first");
   }
-  // The RPC span covers send + wait + decode; its context rides the v3
+  // The RPC span covers send + wait + decode; its context rides the
   // frame so the server's handle span joins the same trace. When the
   // caller already has a span open (a supervisor pull, a traced tool)
   // this nests under it; otherwise it roots a new sampled-1-in-N trace.
@@ -372,9 +370,8 @@ StatusOr<std::string> Client::RoundTrip(MsgType type,
   const int64_t deadline_ms = options_.request_timeout_ms > 0
                                   ? NowMs() + options_.request_timeout_ms
                                   : -1;
-  IMPLISTAT_RETURN_NOT_OK(SendAll(
-      EncodeRequestFrame(type, payload, span.context(), options_.wire_version),
-      deadline_ms));
+  IMPLISTAT_RETURN_NOT_OK(
+      SendAll(EncodeRequestFrame(type, payload, span.context()), deadline_ms));
   StatusOr<Frame> frame = ReadResponse(type, deadline_ms);
   if (!frame.ok()) {
     // Framing/CRC violations leave the stream unparseable; after one, no
@@ -386,7 +383,6 @@ StatusOr<std::string> Client::RoundTrip(MsgType type,
                              DecodeResponsePayload(frame->payload));
   IMPLISTAT_RETURN_NOT_OK(decoded.first);
   span.Annotate("response_bytes", decoded.second.size());
-  if (response_version != nullptr) *response_version = frame->version;
   return std::string(decoded.second);
 }
 
@@ -400,13 +396,9 @@ StatusOr<uint64_t> Client::ObserveBatch(const ObserveBatchRequest& request) {
 }
 
 StatusOr<QueryResponse> Client::Query(const std::vector<uint32_t>& ids) {
-  // The response dialect drives the decode: a v3 server answers a v4
-  // client in v3 (no derivation section), and the decoder must agree.
-  uint64_t version = kWireProtocolVersion;
   IMPLISTAT_ASSIGN_OR_RETURN(
-      std::string body,
-      RoundTrip(MsgType::kQuery, EncodeQueryRequest(ids), &version));
-  return DecodeQueryResponse(body, version);
+      std::string body, RoundTrip(MsgType::kQuery, EncodeQueryRequest(ids)));
+  return DecodeQueryResponse(body);
 }
 
 StatusOr<SnapshotResponse> Client::Snapshot(uint32_t query_id) {
@@ -419,12 +411,6 @@ StatusOr<SnapshotResponse> Client::Snapshot(uint32_t query_id) {
 StatusOr<DeltaSnapshotResponse> Client::SnapshotDelta(uint32_t query_id,
                                                       uint64_t since_epoch,
                                                       uint8_t capabilities) {
-  if (options_.wire_version < 6) {
-    return Status::FailedPrecondition(
-        "SNAPSHOT_DELTA requires wire protocol v6; this client is pinned "
-        "to v" +
-        std::to_string(options_.wire_version));
-  }
   DeltaSnapshotRequest request;
   request.query_id = query_id;
   request.since_epoch = since_epoch;

@@ -71,12 +71,6 @@ struct ClientOptions {
   /// Pipelining window: Submit() refuses once this many requests are
   /// outstanding. Keep at or under the server's max_pipeline_depth.
   size_t max_in_flight = 64;
-  /// Wire dialect to speak. There is no in-band negotiation — a server
-  /// refuses envelopes newer than itself at the version check — so a
-  /// caller that must talk to an older peer pins the peer's version
-  /// here. Requests encode at this version; v6-only calls
-  /// (SnapshotDelta) refuse locally when it is pinned below 6.
-  uint64_t wire_version = kWireProtocolVersion;
 };
 
 class Client {
@@ -117,20 +111,15 @@ class Client {
   /// edge's epoch (its tuples_seen at serialize time).
   StatusOr<SnapshotResponse> Snapshot(uint32_t query_id);
 
-  /// Pulls query `id`'s state as a delta against `since_epoch` (wire
-  /// v6): the response is either a kDeltaSnapshot patch or — when the
-  /// server holds no baseline for that epoch — a full snapshot, flagged
-  /// by DeltaSnapshotResponse::is_delta. `since_epoch` 0 asks for a full
+  /// Pulls query `id`'s state as a delta against `since_epoch`: the
+  /// response is either a kDeltaSnapshot patch or — when the server
+  /// holds no baseline for that epoch — a full snapshot, flagged by
+  /// DeltaSnapshotResponse::is_delta. `since_epoch` 0 asks for a full
   /// snapshot (bootstrap); `capabilities` advertises kDeltaCap* codec
-  /// support. Refuses locally when wire_version is pinned below 6.
+  /// support.
   StatusOr<DeltaSnapshotResponse> SnapshotDelta(uint32_t query_id,
                                                 uint64_t since_epoch,
                                                 uint8_t capabilities);
-
-  /// The wire dialect this client speaks (ClientOptions::wire_version as
-  /// pinned at construction). An aggregator logs this when a peer's
-  /// pinned dialect predates v6 and forces full-snapshot pulls.
-  uint64_t negotiated_version() const { return options_.wire_version; }
 
   /// Folds a snapshot (from this or another node's Snapshot call) into
   /// the server's query `id`.
@@ -150,7 +139,7 @@ class Client {
   /// Asks the server to drain and exit.
   Status Shutdown();
 
-  // --- trigger subscriptions (wire v5) ---
+  // --- trigger subscriptions ---
 
   /// Called for every TRIGGER_FIRED push the client demultiplexes —
   /// pushes can surface inside any blocking read (RoundTrip, Await,
@@ -180,11 +169,8 @@ class Client {
   /// Sends one request frame and waits for its response body, checking
   /// type and embedded status. Building block for the typed calls above.
   /// Refuses (kFailedPrecondition) while pipelined requests are in
-  /// flight — Await() them first. When `response_version` is non-null it
-  /// receives the response frame's wire dialect, which version-sensitive
-  /// decoders (QUERY) need.
-  StatusOr<std::string> RoundTrip(MsgType type, std::string_view payload,
-                                  uint64_t* response_version = nullptr);
+  /// flight — Await() them first.
+  StatusOr<std::string> RoundTrip(MsgType type, std::string_view payload);
 
   // --- pipelined mode ---
 

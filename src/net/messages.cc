@@ -132,8 +132,7 @@ StatusOr<std::vector<uint32_t>> DecodeQueryRequest(std::string_view payload) {
   return ids;
 }
 
-std::string EncodeQueryResponse(const QueryResponse& response,
-                                uint64_t version) {
+std::string EncodeQueryResponse(const QueryResponse& response) {
   ByteWriter out;
   out.PutVarint64(response.tuples_seen);
   out.PutVarint64(response.results.size());
@@ -144,14 +143,9 @@ std::string EncodeQueryResponse(const QueryResponse& response,
     out.PutDouble(result.estimate);
     out.PutDouble(result.std_error);
     out.PutVarint64(result.memory_bytes);
-    // v4 derivation section. Older dialects drop it — a v2/v3 client
-    // sees the midpoint estimate with the half-width as std_error,
-    // which degrades honestly.
-    if (version >= 4) {
-      out.PutU8(result.derived ? 1 : 0);
-      out.PutDouble(result.lower);
-      out.PutDouble(result.upper);
-    }
+    out.PutU8(result.derived ? 1 : 0);
+    out.PutDouble(result.lower);
+    out.PutDouble(result.upper);
   }
   out.PutVarint64(response.warnings.size());
   for (const std::string& warning : response.warnings) {
@@ -160,8 +154,7 @@ std::string EncodeQueryResponse(const QueryResponse& response,
   return out.Release();
 }
 
-StatusOr<QueryResponse> DecodeQueryResponse(std::string_view body,
-                                            uint64_t version) {
+StatusOr<QueryResponse> DecodeQueryResponse(std::string_view body) {
   ByteReader in(body);
   QueryResponse response;
   IMPLISTAT_RETURN_NOT_OK(in.ReadVarint64(&response.tuples_seen));
@@ -188,16 +181,14 @@ StatusOr<QueryResponse> DecodeQueryResponse(std::string_view body,
     IMPLISTAT_RETURN_NOT_OK(in.ReadDouble(&result.estimate));
     IMPLISTAT_RETURN_NOT_OK(in.ReadDouble(&result.std_error));
     IMPLISTAT_RETURN_NOT_OK(in.ReadVarint64(&result.memory_bytes));
-    if (version >= 4) {
-      uint8_t derived;
-      IMPLISTAT_RETURN_NOT_OK(in.ReadU8(&derived));
-      if (derived > 1) {
-        return Status::InvalidArgument("query response: bad derived flag");
-      }
-      result.derived = derived != 0;
-      IMPLISTAT_RETURN_NOT_OK(in.ReadDouble(&result.lower));
-      IMPLISTAT_RETURN_NOT_OK(in.ReadDouble(&result.upper));
+    uint8_t derived;
+    IMPLISTAT_RETURN_NOT_OK(in.ReadU8(&derived));
+    if (derived > 1) {
+      return Status::InvalidArgument("query response: bad derived flag");
     }
+    result.derived = derived != 0;
+    IMPLISTAT_RETURN_NOT_OK(in.ReadDouble(&result.lower));
+    IMPLISTAT_RETURN_NOT_OK(in.ReadDouble(&result.upper));
     response.results.push_back(std::move(result));
   }
   uint64_t warning_count;

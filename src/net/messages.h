@@ -75,8 +75,7 @@ struct QueryResult {
   double std_error = -1;
   uint64_t memory_bytes = 0;
   /// True when the answer came from entailment bounds over existing
-  /// synopses instead of a dedicated estimator (wire v4+; always false
-  /// when decoded from an older dialect).
+  /// synopses instead of a dedicated estimator.
   bool derived = false;
   /// The entailment interval; only meaningful when derived.
   double lower = 0;
@@ -92,13 +91,11 @@ struct QueryResponse {
   std::vector<std::string> warnings;
 };
 
-/// `version` is the wire dialect of the conversation (the request
-/// frame's version on the server, the response frame's on the client):
-/// v4 bodies carry the per-result derivation section, older ones do not.
-std::string EncodeQueryResponse(const QueryResponse& response,
-                                uint64_t version = 4);
-StatusOr<QueryResponse> DecodeQueryResponse(std::string_view body,
-                                            uint64_t version = 4);
+/// Response body: varint tuples_seen, the results (each ending in its
+/// derivation section: u8 derived flag, double lower, double upper),
+/// then the warnings.
+std::string EncodeQueryResponse(const QueryResponse& response);
+StatusOr<QueryResponse> DecodeQueryResponse(std::string_view body);
 
 // --- SNAPSHOT / MERGE ------------------------------------------------------
 
@@ -119,7 +116,7 @@ struct SnapshotResponse {
 std::string EncodeSnapshotResponse(uint64_t epoch, std::string_view state);
 StatusOr<SnapshotResponse> DecodeSnapshotResponse(std::string_view body);
 
-// --- SNAPSHOT_DELTA (wire v6) ----------------------------------------------
+// --- SNAPSHOT_DELTA --------------------------------------------------------
 //
 // A snapshot pull keyed by the epoch the caller last acked. The server
 // answers with a kDeltaSnapshot patch (src/delta/delta.h) when the
@@ -170,13 +167,13 @@ StatusOr<std::pair<uint32_t, std::string_view>> DecodeMergeRequest(
 std::string EncodeCheckpointResponse(std::string_view path);
 StatusOr<std::string> DecodeCheckpointResponse(std::string_view body);
 
-// --- SUBSCRIBE / UNSUBSCRIBE / TRIGGER_FIRED (wire v5) ---------------------
+// --- SUBSCRIBE / UNSUBSCRIBE / TRIGGER_FIRED -------------------------------
 //
 // SUBSCRIBE optionally installs CREATE TRIGGER statements (compiled on
 // the engine thread against the registered query labels), then marks the
 // connection as a firing subscriber. TRIGGER_FIRED frames are pushed
-// unsolicited to subscribed connections only — older-dialect clients
-// never see one (wire.h v5 notes).
+// unsolicited to subscribed connections only — a connection that never
+// subscribes never sees one (see wire.h).
 
 struct SubscribeRequest {
   /// CREATE TRIGGER statements to install before subscribing; may be

@@ -398,16 +398,16 @@ void Reactor::HandleReadable(Conn* conn) {
       if (n < static_cast<ssize_t>(sizeof(buf))) break;
       continue;
     }
-    if (n == 0) {
-      status = Status::IOError("peer closed");
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    status = Status::IOError(std::string("recv: ") + strerror(errno));
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && errno == EINTR) continue;
+    // An orderly close (0) or a transport failure such as a reset ends
+    // the connection, but neither is a framing error.
+    conn->dead = true;
     break;
   }
   if (!status.ok()) {
+    // Only the frame decoder's sticky errors reach here: bad magic,
+    // version, CRC or framing, or an overrun of the frame bound.
     metrics_->frame_errors->Increment();
     obs::LogEvent(obs::LogLevel::kWarn, "net.reactor", "conn_error")
         .U64("fd", static_cast<uint64_t>(conn->fd))
@@ -430,7 +430,7 @@ Status Reactor::ParseFrames(Conn* conn) {
 void Reactor::HandleFrame(Conn* conn, const FrameView& view) {
   const uint64_t start_ns = NowNs();
   // The handle span adopts the client's trace context when the frame
-  // carried one (v3), so the client's RPC span and every server phase
+  // carried one, so the client's RPC span and every server phase
   // share one trace id across the socket.
   obs::ScopedSpan handle("server.handle", "server", view.trace);
   handle.SetDetail(MsgTypeName(view.type()));
@@ -450,7 +450,6 @@ void Reactor::HandleFrame(Conn* conn, const FrameView& view) {
   Slot& slot = conn->slots.emplace_back();
   slot.seq = conn->next_seq++;
   slot.type = view.type();
-  slot.version = view.version;
   slot.start_ns = start_ns;
   slot.trace = handle.context();
   const uint64_t seq = slot.seq;
@@ -464,7 +463,6 @@ void Reactor::HandleFrame(Conn* conn, const FrameView& view) {
   op.conn_id = conn->id;
   op.seq = seq;
   op.trace = handle.context();
-  op.version = view.version;
 
   switch (view.type()) {
     case MsgType::kPing:
@@ -529,13 +527,6 @@ void Reactor::HandleFrame(Conn* conn, const FrameView& view) {
       break;
     }
     case MsgType::kSnapshotDelta: {
-      if (view.version < 6) {
-        CompleteSlot(conn, seq,
-                     Status::InvalidArgument(
-                         "SNAPSHOT_DELTA requires wire protocol v6"),
-                     {}, false);
-        return;
-      }
       auto decoded = DecodeDeltaSnapshotRequest(view.payload);
       if (!decoded.ok()) {
         CompleteSlot(conn, seq, decoded.status(), {}, false);
@@ -547,13 +538,6 @@ void Reactor::HandleFrame(Conn* conn, const FrameView& view) {
       break;
     }
     case MsgType::kSubscribe: {
-      if (view.version < 5) {
-        CompleteSlot(conn, seq,
-                     Status::InvalidArgument(
-                         "SUBSCRIBE requires wire protocol v5"),
-                     {}, false);
-        return;
-      }
       auto decoded = DecodeSubscribeRequest(view.payload);
       if (!decoded.ok()) {
         CompleteSlot(conn, seq, decoded.status(), {}, false);
@@ -568,13 +552,6 @@ void Reactor::HandleFrame(Conn* conn, const FrameView& view) {
       break;
     }
     case MsgType::kUnsubscribe: {
-      if (view.version < 5) {
-        CompleteSlot(conn, seq,
-                     Status::InvalidArgument(
-                         "UNSUBSCRIBE requires wire protocol v5"),
-                     {}, false);
-        return;
-      }
       if (!view.payload.empty()) {
         CompleteSlot(conn, seq,
                      Status::InvalidArgument(
@@ -618,8 +595,8 @@ void Reactor::CompleteSlot(Conn* conn, uint64_t seq, const Status& status,
       metrics_->response_bytes_by_type[t]->Record(body.size());
       metrics_->duration_by_type[t]->Record(NowNs() - slot.start_ns);
     }
-    slot.frame = EncodeResponseFrame(
-        slot.type, EncodeResponsePayload(status, body), slot.version);
+    slot.frame =
+        EncodeResponseFrame(slot.type, EncodeResponsePayload(status, body));
   }
   slot.done = true;
   slot.close_conn = close_conn;
@@ -680,8 +657,7 @@ void Reactor::AppendCompletedPrefix(Conn* conn) {
       slot.frame = EncodeResponseFrame(
           slot.type,
           EncodeResponsePayload(Status::ResourceExhausted(
-              "response exceeds the connection's write-buffer bound")),
-          slot.version);
+              "response exceeds the connection's write-buffer bound")));
       conn->close_after_flush = true;
     }
     if (conn->write_pos > 0) {

@@ -10,9 +10,8 @@
 // request validation; the only thing they ship to the writer is a fully
 // decoded, fully validated EngineOp. The writer applies ops in arrival
 // order and posts Completions back; the reactor encodes each completion
-// in the dialect its request arrived in and writes responses out in
-// strict per-connection FIFO order (the wire protocol's no-correlation-id
-// contract).
+// and writes responses out in strict per-connection FIFO order (the wire
+// protocol's no-correlation-id contract).
 //
 // Request FIFO across the thread hop: every parsed request opens a Slot
 // in the connection's slot deque. Engine-free requests (PING, METRICS,
@@ -103,9 +102,6 @@ struct EngineOp {
   obs::SpanContext trace;
   /// CLOCK_MONOTONIC ns at handoff, for queue-wait accounting.
   uint64_t enqueue_ns = 0;
-  /// The request frame's wire dialect; the writer encodes
-  /// version-sensitive response bodies (QUERY) to match.
-  uint64_t version = kWireProtocolVersion;
   /// OBSERVE_BATCH: validated row-major value ids.
   std::vector<ValueId> flat;
   /// QUERY: requested ids (empty = every registered query).
@@ -129,7 +125,7 @@ struct EngineOp {
 };
 
 /// The writer's answer to one EngineOp, routed back to the reactor that
-/// owns (conn_id, seq). The reactor encodes it in the slot's dialect.
+/// owns (conn_id, seq).
 struct Completion {
   uint64_t conn_id = 0;
   uint64_t seq = 0;
@@ -205,7 +201,6 @@ class Reactor {
   struct Slot {
     uint64_t seq = 0;
     MsgType type = MsgType::kPing;
-    uint64_t version = kWireProtocolVersion;
     uint64_t start_ns = 0;
     obs::SpanContext trace;  // handle-span ctx; parents encode/write
     bool done = false;

@@ -333,9 +333,7 @@ void Server::ApplyQuery(EngineOp& op, Completion* done) {
   if (options_.query_warnings) {
     response.warnings = options_.query_warnings();
   }
-  // Answer in the request's dialect: v4 carries the derivation section,
-  // older clients get the pre-derivation layout.
-  done->body = EncodeQueryResponse(response, op.version);
+  done->body = EncodeQueryResponse(response);
 }
 
 void Server::ApplySnapshot(EngineOp& op, Completion* done) {

@@ -25,12 +25,10 @@ const char* MsgTypeName(MsgType type) {
 
 namespace {
 
-// v3 envelope payload: extension block (length-prefixed TLV run) then
-// the message payload. v2 has no extension block.
+// Envelope payload: extension block (length-prefixed TLV run) then the
+// message payload.
 std::string EncodeFramePayload(std::string_view payload,
-                               const obs::SpanContext& trace,
-                               uint64_t version) {
-  if (version < 3) return std::string(payload);
+                               const obs::SpanContext& trace) {
   ByteWriter ext;
   if (trace.valid()) {
     ext.PutU8(kExtTagTraceContext);
@@ -49,9 +47,9 @@ std::string EncodeFramePayload(std::string_view payload,
 }
 
 std::string EncodeFrame(uint8_t tag, std::string_view payload,
-                        const obs::SpanContext& trace, uint64_t version) {
-  std::string envelope = WrapEnvelopeAt(
-      kWireEnvelope, version, tag, EncodeFramePayload(payload, trace, version));
+                        const obs::SpanContext& trace) {
+  std::string envelope =
+      WrapEnvelope(kWireEnvelope, tag, EncodeFramePayload(payload, trace));
   std::string frame;
   frame.reserve(sizeof(uint32_t) + envelope.size());
   uint32_t len = static_cast<uint32_t>(envelope.size());
@@ -60,15 +58,15 @@ std::string EncodeFrame(uint8_t tag, std::string_view payload,
   return frame;
 }
 
-// Splits a v3 envelope payload into extension block and message payload
+// Splits an envelope payload into extension block and message payload
 // (a view into `envelope_payload`), filling `trace` from a trace-context
 // entry if present. Unknown extension tags are skipped (forward
 // compatibility); structural damage (truncated TLV, length overrun) is
 // an error — the extension block is CRC-protected with the rest of the
 // envelope, so damage here means a peer that cannot be trusted.
-Status DecodeFramePayloadV3(std::string_view envelope_payload,
-                            obs::SpanContext* trace,
-                            std::string_view* message_payload) {
+Status DecodeFramePayload(std::string_view envelope_payload,
+                          obs::SpanContext* trace,
+                          std::string_view* message_payload) {
   ByteReader in(envelope_payload);
   uint64_t ext_len;
   IMPLISTAT_RETURN_NOT_OK(in.ReadVarint64(&ext_len));
@@ -108,21 +106,19 @@ Status DecodeFramePayloadV3(std::string_view envelope_payload,
 }  // namespace
 
 std::string EncodeRequestFrame(MsgType type, std::string_view payload,
-                               const obs::SpanContext& trace,
-                               uint64_t version) {
-  return EncodeFrame(static_cast<uint8_t>(type), payload, trace, version);
+                               const obs::SpanContext& trace) {
+  return EncodeFrame(static_cast<uint8_t>(type), payload, trace);
 }
 
-std::string EncodeResponseFrame(MsgType type, std::string_view payload,
-                                uint64_t version) {
+std::string EncodeResponseFrame(MsgType type, std::string_view payload) {
   return EncodeFrame(static_cast<uint8_t>(type) | kResponseFlag, payload,
-                     obs::SpanContext(), version);
+                     obs::SpanContext());
 }
 
 std::string EncodePushFrame(MsgType type, std::string_view payload,
-                            const obs::SpanContext& trace, uint64_t version) {
+                            const obs::SpanContext& trace) {
   return EncodeFrame(static_cast<uint8_t>(type) | kResponseFlag, payload,
-                     trace, version);
+                     trace);
 }
 
 std::string EncodeResponsePayload(const Status& status,
@@ -214,24 +210,17 @@ StatusOr<std::optional<FrameView>> FrameDecoder::NextView() {
   const std::string_view envelope =
       pending.substr(sizeof(uint32_t), envelope_len);
   uint8_t tag;
-  uint64_t version;
-  auto payload = UnwrapEnvelopeRange(kWireEnvelope, kWireMinProtocolVersion,
-                                     envelope, &tag, &version);
+  auto payload = UnwrapEnvelope(kWireEnvelope, envelope, &tag);
   if (!payload.ok()) {
     failed_ = payload.status();
     return failed_;
   }
   FrameView frame;
   frame.tag = tag;
-  frame.version = version;
-  if (version >= 3) {
-    Status ext = DecodeFramePayloadV3(*payload, &frame.trace, &frame.payload);
-    if (!ext.ok()) {
-      failed_ = ext;
-      return failed_;
-    }
-  } else {
-    frame.payload = *payload;
+  Status ext = DecodeFramePayload(*payload, &frame.trace, &frame.payload);
+  if (!ext.ok()) {
+    failed_ = ext;
+    return failed_;
   }
   pos_ += sizeof(uint32_t) + envelope_len;
   return std::optional<FrameView>(frame);
@@ -242,7 +231,6 @@ StatusOr<std::optional<Frame>> FrameDecoder::Next() {
   if (!view.has_value()) return std::optional<Frame>();
   Frame frame;
   frame.tag = view->tag;
-  frame.version = view->version;
   frame.trace = view->trace;
   frame.payload = std::string(view->payload);
   return std::optional<Frame>(std::move(frame));

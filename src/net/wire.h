@@ -9,10 +9,10 @@
 //   ------  -----------------------------------------------------------
 //   0       frame length N (little-endian u32; bytes that follow)
 //   4       magic "IMPW" (little-endian u32 0x57504d49)
-//   8       protocol version (varint; currently kWireProtocolVersion)
+//   8       protocol version (varint; exactly kWireProtocolVersion)
 //   ..      message type (1 byte; high bit set on responses)
 //   ..      payload length (varint; redundant with N, cross-checked)
-//   ..      payload bytes
+//   ..      payload bytes: extension block, then the message payload
 //   4+N-4   CRC32C (little-endian u32) over bytes [4, 4+N-4)
 //
 // The outer length prefix lets a stream reader buffer exactly one frame
@@ -21,6 +21,11 @@
 // checkpoint — decode goes into temporaries, the connection state never
 // partially mutates. Corrupt frames are connection-fatal: a peer that
 // fails CRC once cannot be trusted to be in sync again.
+//
+// There is one dialect: a frame stamped with any other protocol version
+// fails the envelope's exact version check ("frame: unsupported format
+// version N (this build reads version M)") and, like any other corrupt
+// frame, closes the connection.
 //
 // Requests and responses travel in strict order on a connection (the
 // server is a single-threaded event loop), so no correlation id is
@@ -53,11 +58,11 @@ enum class MsgType : uint8_t {
   kMetrics = 6,       // Prometheus text of the global registry
   kCheckpoint = 7,    // trigger a durable engine checkpoint
   kShutdown = 8,      // graceful drain (final checkpoint, then exit)
-  kTraceDump = 9,     // Chrome trace_event JSON of recent spans (v3+)
-  kSubscribe = 10,    // install trigger rules + subscribe to firings (v5+)
-  kUnsubscribe = 11,  // drop this connection's subscriptions (v5+)
-  kTriggerFired = 12,  // unsolicited server push; never a request (v5+)
-  kSnapshotDelta = 13,  // ship only the changes since an acked epoch (v6+)
+  kTraceDump = 9,     // Chrome trace_event JSON of recent spans
+  kSubscribe = 10,    // install trigger rules + subscribe to firings
+  kUnsubscribe = 11,  // drop this connection's subscriptions
+  kTriggerFired = 12,  // unsolicited server push; never a request
+  kSnapshotDelta = 13,  // ship only the changes since an acked epoch
 };
 
 inline constexpr uint8_t kResponseFlag = 0x80;
@@ -65,49 +70,25 @@ inline constexpr uint8_t kResponseFlag = 0x80;
 const char* MsgTypeName(MsgType type);
 
 inline constexpr uint32_t kWireMagic = 0x57504d49;  // "IMPW"
-/// v2: SNAPSHOT responses carry an epoch header (see
-/// messages.h SnapshotResponse) and QUERY responses a trailing warnings
-/// section.
-/// v3: the envelope payload gains a leading extension block —
-/// varint ext length, then (u8 tag, varint length, bytes) entries —
-/// before the message payload. Unknown extension tags are skipped, so
-/// v3 readers tolerate fields minted after them. Defined tags:
+/// The one protocol version this build speaks and accepts.
+///
+/// Envelope payload = extension block, then the message payload. The
+/// block is a varint byte length followed by (u8 tag, varint length,
+/// bytes) entries; a reader skips any tag it does not know, and an entry
+/// of a known tag but unexpected size, so a peer can attach fields this
+/// build predates. Defined tags:
 ///   1  trace context (25 bytes: u64 trace_hi, u64 trace_lo,
 ///      u64 span_id, u8 flags; flag bit 0 = sampled) — propagates one
 ///      trace across client->server and supervisor->edge hops.
-/// v4: QUERY responses carry a per-result derivation section — u8
-/// derived flag plus the entailment bounds [lower, upper] (see
-/// messages.h QueryResult) — so a client can tell a bound-derived
-/// answer from a dedicated-estimator one. Request formats are
-/// unchanged.
-/// v5: SUBSCRIBE/UNSUBSCRIBE requests and the TRIGGER_FIRED push — the
-/// first server-initiated frame. Pushes are tagged
-/// kTriggerFired | kResponseFlag and are delivered only on connections
-/// that sent a v5 SUBSCRIBE, so the k-th-response-answers-the-k-th-
-/// request discipline still holds for every older dialect: a v4 client
-/// can never receive one.
-/// v6: the SNAPSHOT_DELTA request — a snapshot pull keyed by the epoch
-/// the caller last acked, answered with either a kDeltaSnapshot patch
-/// (src/delta/) or a full snapshot when the server holds no baseline for
-/// that epoch (restart, merge, evicted mark — the resync path). Request
-/// and response codecs live in messages.h (DeltaSnapshotRequest/
-/// DeltaSnapshotResponse). There is no in-band version negotiation (an
-/// older endpoint refuses a v6 envelope at the version check), so
-/// callers pin the dialect via ClientOptions::wire_version; a v6 server
-/// answers a pinned v5 client's SNAPSHOT_DELTA with InvalidArgument and
-/// the caller falls back to full SNAPSHOT pulls.
-/// An endpoint still accepts older frames (down to
-/// kWireMinProtocolVersion) and answers them in the request's dialect,
-/// so old clients keep working; versions outside
-/// [kWireMinProtocolVersion, kWireProtocolVersion] are refused at the
-/// envelope check rather than misparsing payloads.
+/// Server pushes (TRIGGER_FIRED) are tagged type | kResponseFlag and go
+/// only to connections that sent SUBSCRIBE, so on every other connection
+/// the k-th response frame still answers the k-th request.
 inline constexpr uint64_t kWireProtocolVersion = 6;
-inline constexpr uint64_t kWireMinProtocolVersion = 2;
 
 inline constexpr EnvelopeFamily kWireEnvelope{kWireMagic,
                                               kWireProtocolVersion, "frame"};
 
-/// Extension tags of the v3 extension block (append only).
+/// Extension-block tags (append only).
 inline constexpr uint8_t kExtTagTraceContext = 1;
 /// Encoded size of the trace-context extension value.
 inline constexpr size_t kTraceContextExtBytes = 8 + 8 + 8 + 1;
@@ -120,12 +101,11 @@ inline constexpr size_t kAbsoluteMaxFrameBytes = 256u << 20;
 
 /// One decoded frame: the raw tag (type byte, response flag included),
 /// an owned copy of the message payload (extension block already
-/// stripped), the envelope version it arrived in, and the trace context
-/// if the peer attached one (invalid otherwise).
+/// stripped), and the trace context if the peer attached one (invalid
+/// otherwise).
 struct Frame {
   uint8_t tag = 0;
   std::string payload;
-  uint64_t version = kWireProtocolVersion;
   obs::SpanContext trace;
 
   MsgType type() const {
@@ -142,7 +122,6 @@ struct Frame {
 struct FrameView {
   uint8_t tag = 0;
   std::string_view payload;
-  uint64_t version = kWireProtocolVersion;
   obs::SpanContext trace;
 
   MsgType type() const {
@@ -152,26 +131,19 @@ struct FrameView {
 };
 
 /// Encodes a request frame (length prefix + envelope). With a valid
-/// `trace`, the context rides the v3 extension block; `version` lets
-/// compatibility tests and v2-pinned callers emit the old dialect
-/// (which has no extension block — any trace is dropped).
+/// `trace`, the context rides the extension block.
 std::string EncodeRequestFrame(MsgType type, std::string_view payload,
-                               const obs::SpanContext& trace = {},
-                               uint64_t version = kWireProtocolVersion);
+                               const obs::SpanContext& trace = {});
 
-/// Encodes a response frame for `type` (tag = type | kResponseFlag) in
-/// the dialect of `version` — servers answer in the version the request
-/// arrived with, so a v2 client never sees a v3 payload.
-std::string EncodeResponseFrame(MsgType type, std::string_view payload,
-                                uint64_t version = kWireProtocolVersion);
+/// Encodes a response frame for `type` (tag = type | kResponseFlag).
+std::string EncodeResponseFrame(MsgType type, std::string_view payload);
 
-/// Encodes a server-initiated push frame (v5+): tagged like a response
+/// Encodes a server-initiated push frame: tagged like a response
 /// (type | kResponseFlag) so stream direction stays uniform, but not
 /// answering any request. With a valid `trace`, the delivery context
-/// rides the v3 extension block exactly as on requests.
+/// rides the extension block exactly as on requests.
 std::string EncodePushFrame(MsgType type, std::string_view payload,
-                            const obs::SpanContext& trace = {},
-                            uint64_t version = kWireProtocolVersion);
+                            const obs::SpanContext& trace = {});
 
 // ---------------------------------------------------------------------------
 // Response payload = Status header + body:

@@ -6,7 +6,7 @@
 //
 // Model:
 //  * A trace is a 128-bit id minted at the first span of a request (or
-//    propagated in from the wire, net/wire.h v3); spans are timed
+//    propagated in from the wire, net/wire.h); spans are timed
 //    intervals with a 64-bit id, a parent id, a static name, and a few
 //    inline annotations (no allocation).
 //  * ScopedSpan is the only way to record: it stamps the start on
@@ -29,7 +29,7 @@
 // -DIMPLISTAT_METRICS=OFF: the nullimpl aliases make ScopedSpan an empty
 // object and Snapshot() empty, so a constrained edge build pays zero —
 // not even the sampling branches. SpanContext itself stays real in both
-// modes: it is wire data (net/wire.h v3 frames carry it), and a
+// modes: it is wire data (net/wire.h frames carry it), and a
 // tracing-disabled server must still parse and forward it.
 //
 // Export is Chrome trace_event JSON (WriteTraceJson): load the dump of
@@ -55,7 +55,7 @@ namespace implistat::obs {
 /// Propagated trace identity: who this request belongs to (128-bit trace
 /// id), which span caused it (the parent for the next hop), and whether
 /// the root sampled it. Plain wire data — NOT gated by IMPLISTAT_METRICS;
-/// net/wire.h encodes it into v3 frames in every build mode.
+/// net/wire.h encodes it into frames in every build mode.
 struct SpanContext {
   uint64_t trace_hi = 0;
   uint64_t trace_lo = 0;
@@ -112,7 +112,7 @@ class Tracer {
   static uint32_t SampleEveryN();
 
   /// The calling thread's current span context (invalid when no span is
-  /// open). What a client attaches to an outgoing v3 frame.
+  /// open). What a client attaches to an outgoing frame.
   static SpanContext CurrentContext();
 
   /// Copies every thread's ring, oldest first per thread. Safe to call

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 
 #include "cql/diag.h"
 
@@ -251,14 +253,24 @@ class Parser {
   Status ApplyParam(const std::string& key, const std::string& value,
                     cql::SourceSpan name_span, cql::SourceSpan value_span,
                     ParsedQuery* query) {
-    auto parse_u64 = [&](uint64_t* out) -> Status {
-      char* end = nullptr;
-      *out = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+    // Plain decimal digits no larger than `max`: from_chars takes no sign
+    // for an unsigned target, where strtoull would wrap "-1" to 2^64-1.
+    auto parse_u64 = [&](uint64_t* out,
+                         uint64_t max = std::numeric_limits<uint64_t>::max())
+        -> Status {
+      const char* last = value.data() + value.size();
+      uint64_t v = 0;
+      const auto [ptr, ec] = std::from_chars(value.data(), last, v);
+      if (ec == std::errc::invalid_argument || ptr != last) {
         return Fail(value_span, "bad integer for " + key);
       }
+      if (ec == std::errc::result_out_of_range || v > max) {
+        return Fail(value_span, key + " exceeds " + std::to_string(max));
+      }
+      *out = v;
       return Status::OK();
     };
+    constexpr uint64_t kU32Max = std::numeric_limits<uint32_t>::max();
     auto parse_double = [&](double* out) -> Status {
       char* end = nullptr;
       *out = std::strtod(value.c_str(), &end);
@@ -270,7 +282,7 @@ class Parser {
     ImplicationConditions& cond = query->implication;
     if (key == "K" || key == "MULTIPLICITY") {
       uint64_t v;
-      IMPLISTAT_RETURN_NOT_OK(parse_u64(&v));
+      IMPLISTAT_RETURN_NOT_OK(parse_u64(&v, kU32Max));
       cond.max_multiplicity = static_cast<uint32_t>(v);
     } else if (key == "SUPPORT" || key == "SIGMA") {
       IMPLISTAT_RETURN_NOT_OK(parse_u64(&cond.min_support));
@@ -278,7 +290,7 @@ class Parser {
       IMPLISTAT_RETURN_NOT_OK(parse_double(&cond.min_top_confidence));
     } else if (key == "C" || key == "TOP") {
       uint64_t v;
-      IMPLISTAT_RETURN_NOT_OK(parse_u64(&v));
+      IMPLISTAT_RETURN_NOT_OK(parse_u64(&v, kU32Max));
       cond.confidence_c = static_cast<uint32_t>(v);
     } else if (key == "WINDOW") {
       IMPLISTAT_RETURN_NOT_OK(parse_u64(&query->window));

@@ -33,10 +33,8 @@ const Crc32cTable& CrcTable() {
 }
 
 // Shared header parse for unwrap/peek: checks magic and that the version
-// falls in [min_version, family.version], leaves `reader` positioned at
-// the tag byte. `version_out` may be null.
-Status ReadEnvelopeHeader(const EnvelopeFamily& family, uint64_t min_version,
-                          ByteReader& reader, uint64_t* version_out) {
+// is exactly family.version, leaves `reader` positioned at the tag byte.
+Status ReadEnvelopeHeader(const EnvelopeFamily& family, ByteReader& reader) {
   const std::string what(family.name);
   uint32_t magic;
   IMPLISTAT_RETURN_NOT_OK(reader.ReadU32(&magic));
@@ -46,46 +44,13 @@ Status ReadEnvelopeHeader(const EnvelopeFamily& family, uint64_t min_version,
   }
   uint64_t version;
   IMPLISTAT_RETURN_NOT_OK(reader.ReadVarint64(&version));
-  if (version < min_version || version > family.version) {
+  if (version != family.version) {
     return Status::InvalidArgument(
         what + ": unsupported format version " + std::to_string(version) +
-        " (this build reads versions " + std::to_string(min_version) +
-        ".." + std::to_string(family.version) + ")");
+        " (this build reads version " + std::to_string(family.version) +
+        ")");
   }
-  if (version_out != nullptr) *version_out = version;
   return Status::OK();
-}
-
-// Body shared by the exact and ranged unwraps: tag, payload length,
-// payload, CRC — with `reader` already past the header.
-StatusOr<std::string_view> UnwrapEnvelopeBody(const EnvelopeFamily& family,
-                                              std::string_view bytes,
-                                              ByteReader& reader,
-                                              uint8_t* tag) {
-  const std::string what(family.name);
-  uint8_t tag_byte;
-  IMPLISTAT_RETURN_NOT_OK(reader.ReadU8(&tag_byte));
-  uint64_t payload_len;
-  IMPLISTAT_RETURN_NOT_OK(reader.ReadVarint64(&payload_len));
-  if (payload_len > reader.remaining()) {
-    return Status::OutOfRange(what + ": truncated payload");
-  }
-  std::string_view payload;
-  IMPLISTAT_RETURN_NOT_OK(reader.ReadBytes(payload_len, &payload));
-  uint32_t stored_crc;
-  if (reader.remaining() != sizeof(stored_crc)) {
-    return Status::InvalidArgument(what + ": trailing bytes after payload");
-  }
-  IMPLISTAT_RETURN_NOT_OK(reader.ReadU32(&stored_crc));
-  uint32_t actual_crc =
-      Crc32c(bytes.substr(0, bytes.size() - sizeof(stored_crc)));
-  if (stored_crc != actual_crc) {
-    return Status::InvalidArgument(what +
-                                   ": CRC32C mismatch (corrupt " + what +
-                                   ")");
-  }
-  *tag = tag_byte;
-  return payload;
 }
 
 }  // namespace
@@ -140,14 +105,9 @@ uint32_t Crc32c(std::string_view data) {
 
 std::string WrapEnvelope(const EnvelopeFamily& family, uint8_t tag,
                          std::string_view payload) {
-  return WrapEnvelopeAt(family, family.version, tag, payload);
-}
-
-std::string WrapEnvelopeAt(const EnvelopeFamily& family, uint64_t version,
-                           uint8_t tag, std::string_view payload) {
   ByteWriter out;
   out.PutU32(family.magic);
-  out.PutVarint64(version);
+  out.PutVarint64(family.version);
   out.PutU8(tag);
   out.PutVarint64(payload.size());
   out.PutBytes(payload);
@@ -161,27 +121,37 @@ StatusOr<std::string_view> UnwrapEnvelope(const EnvelopeFamily& family,
                                           std::string_view bytes,
                                           uint8_t* tag) {
   ByteReader reader(bytes);
-  IMPLISTAT_RETURN_NOT_OK(
-      ReadEnvelopeHeader(family, family.version, reader, nullptr));
-  return UnwrapEnvelopeBody(family, bytes, reader, tag);
-}
-
-StatusOr<std::string_view> UnwrapEnvelopeRange(const EnvelopeFamily& family,
-                                               uint64_t min_version,
-                                               std::string_view bytes,
-                                               uint8_t* tag,
-                                               uint64_t* version) {
-  ByteReader reader(bytes);
-  IMPLISTAT_RETURN_NOT_OK(
-      ReadEnvelopeHeader(family, min_version, reader, version));
-  return UnwrapEnvelopeBody(family, bytes, reader, tag);
+  IMPLISTAT_RETURN_NOT_OK(ReadEnvelopeHeader(family, reader));
+  const std::string what(family.name);
+  uint8_t tag_byte;
+  IMPLISTAT_RETURN_NOT_OK(reader.ReadU8(&tag_byte));
+  uint64_t payload_len;
+  IMPLISTAT_RETURN_NOT_OK(reader.ReadVarint64(&payload_len));
+  if (payload_len > reader.remaining()) {
+    return Status::OutOfRange(what + ": truncated payload");
+  }
+  std::string_view payload;
+  IMPLISTAT_RETURN_NOT_OK(reader.ReadBytes(payload_len, &payload));
+  uint32_t stored_crc;
+  if (reader.remaining() != sizeof(stored_crc)) {
+    return Status::InvalidArgument(what + ": trailing bytes after payload");
+  }
+  IMPLISTAT_RETURN_NOT_OK(reader.ReadU32(&stored_crc));
+  uint32_t actual_crc =
+      Crc32c(bytes.substr(0, bytes.size() - sizeof(stored_crc)));
+  if (stored_crc != actual_crc) {
+    return Status::InvalidArgument(what +
+                                   ": CRC32C mismatch (corrupt " + what +
+                                   ")");
+  }
+  *tag = tag_byte;
+  return payload;
 }
 
 StatusOr<uint8_t> PeekEnvelopeTag(const EnvelopeFamily& family,
                                   std::string_view bytes) {
   ByteReader reader(bytes);
-  IMPLISTAT_RETURN_NOT_OK(
-      ReadEnvelopeHeader(family, family.version, reader, nullptr));
+  IMPLISTAT_RETURN_NOT_OK(ReadEnvelopeHeader(family, reader));
   uint8_t tag_byte;
   IMPLISTAT_RETURN_NOT_OK(reader.ReadU8(&tag_byte));
   return tag_byte;

@@ -52,28 +52,13 @@ struct EnvelopeFamily {
 std::string WrapEnvelope(const EnvelopeFamily& family, uint8_t tag,
                          std::string_view payload);
 
-/// Wraps `payload` stamped with an explicit `version` instead of
-/// family.version — how a current-version peer answers an older client
-/// in the client's own dialect (see src/net/wire.h v2 compatibility).
-std::string WrapEnvelopeAt(const EnvelopeFamily& family, uint64_t version,
-                           uint8_t tag, std::string_view payload);
-
-/// Validates magic, version, framing and CRC; on success stores the tag
-/// and returns a view of the payload (aliasing `bytes`, which must
-/// outlive the result).
+/// Validates magic, version (exactly family.version — any other is
+/// refused with a status naming it), framing and CRC; on success stores
+/// the tag and returns a view of the payload (aliasing `bytes`, which
+/// must outlive the result).
 StatusOr<std::string_view> UnwrapEnvelope(const EnvelopeFamily& family,
                                           std::string_view bytes,
                                           uint8_t* tag);
-
-/// Like UnwrapEnvelope, but accepts any version in
-/// [min_version, family.version] and stores the envelope's actual
-/// version in `*version` so the caller can interpret the payload (and
-/// phrase its replies) in the peer's dialect.
-StatusOr<std::string_view> UnwrapEnvelopeRange(const EnvelopeFamily& family,
-                                               uint64_t min_version,
-                                               std::string_view bytes,
-                                               uint8_t* tag,
-                                               uint64_t* version);
 
 /// Reads just the tag of a valid-looking envelope (magic + version
 /// checked, checksum not). Useful for dispatch before full validation.

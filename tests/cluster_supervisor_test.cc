@@ -620,38 +620,19 @@ TEST(ClusterDeltaTest, FullPullModesNeverShipDeltas) {
   FeedLocal(single, 0, 500);
 
   // use_deltas off (--no-deltas): full snapshots every round.
-  {
-    QueryEngine aggregate(TestSchema());
-    RegisterSuite(aggregate);
-    SupervisorOptions options = TestOptions();
-    options.use_deltas = false;
-    AggregatorSupervisor supervisor(&aggregate, {edge.Config("edge")},
-                                    options);
-    ASSERT_TRUE(supervisor.Init().ok());
-    PollStats stats = supervisor.PollOnce(0);
-    EXPECT_EQ(stats.delta_pulls, 0);
-    EXPECT_EQ(stats.full_pulls, 2);
-    ExpectSameAnswers(aggregate, single);
-  }
-
-  // A supervisor pinned to the v5 dialect cannot ask for deltas at all:
-  // it logs the downgrade once and converges on full pulls.
-  {
-    QueryEngine aggregate(TestSchema());
-    RegisterSuite(aggregate);
-    SupervisorOptions options = TestOptions();
-    options.wire_version = 5;
-    AggregatorSupervisor supervisor(&aggregate, {edge.Config("edge")},
-                                    options);
-    ASSERT_TRUE(supervisor.Init().ok());
-    PollStats first = supervisor.PollOnce(0);
-    EXPECT_EQ(first.delta_pulls, 0);
-    EXPECT_EQ(first.full_pulls, 2);
-    PollStats second = supervisor.PollOnce(1000);
-    EXPECT_EQ(second.delta_pulls, 0);
-    EXPECT_EQ(second.full_pulls, 2);
-    ExpectSameAnswers(aggregate, single);
-  }
+  QueryEngine aggregate(TestSchema());
+  RegisterSuite(aggregate);
+  SupervisorOptions options = TestOptions();
+  options.use_deltas = false;
+  AggregatorSupervisor supervisor(&aggregate, {edge.Config("edge")}, options);
+  ASSERT_TRUE(supervisor.Init().ok());
+  PollStats first = supervisor.PollOnce(0);
+  EXPECT_EQ(first.delta_pulls, 0);
+  EXPECT_EQ(first.full_pulls, 2);
+  PollStats second = supervisor.PollOnce(1000);
+  EXPECT_EQ(second.delta_pulls, 0);
+  EXPECT_EQ(second.full_pulls, 2);
+  ExpectSameAnswers(aggregate, single);
 }
 
 // The fold merges the live twins directly; it must produce the very bytes

@@ -1,9 +1,10 @@
-// Wire v5 subscription layer: SUBSCRIBE/UNSUBSCRIBE/TRIGGER_FIRED codec
+// Wire subscription layer: SUBSCRIBE/UNSUBSCRIBE/TRIGGER_FIRED codec
 // round-trips and known-answer bytes, corruption discipline on the new
 // payloads, and live-socket behavior — a subscriber receives pushes when
 // another connection's ingest fires a trigger, a pipelined subscriber
-// sees pushes surface inside Await, and an older-dialect client keeps
-// its strict request/response FIFO with no push ever interleaved.
+// sees pushes surface inside Await, and a connection that never
+// subscribes keeps its strict request/response FIFO with no push ever
+// interleaved.
 
 #include <gtest/gtest.h>
 
@@ -112,7 +113,7 @@ class LoopbackServer {
   Status run_status_;
 };
 
-// Raw socket + frame decoder: lets a test speak any wire dialect and see
+// Raw socket + frame decoder: lets a test send hand-built frames and see
 // exactly which frames come back, in order (see net_trace_test.cc).
 class RawConn {
  public:
@@ -280,7 +281,6 @@ TEST(PushFrameTest, TaggedAsResponseAndDecodes) {
   ASSERT_TRUE(frame->has_value());
   EXPECT_TRUE((*frame)->is_response());
   EXPECT_EQ((*frame)->type(), MsgType::kTriggerFired);
-  EXPECT_EQ((*frame)->version, kWireProtocolVersion);
   auto decoded = DecodeTriggerFired((*frame)->payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->trigger, "cpu");
@@ -479,10 +479,10 @@ TEST(SubscriptionTest, FiringMetricsExported) {
   }
 }
 
-// An older-dialect connection never sees a push: its k-th response frame
-// answers its k-th request even while a v5 subscriber on the same server
-// is receiving TRIGGER_FIRED frames.
-TEST(SubscriptionTest, V4ClientKeepsStrictFifoWhileTriggersFire) {
+// A connection that never subscribes never sees a push: its k-th response
+// frame answers its k-th request even while a subscriber on the same
+// server is receiving TRIGGER_FIRED frames.
+TEST(SubscriptionTest, NonSubscriberKeepsStrictFifoWhileTriggersFire) {
   LoopbackServer server;
   ASSERT_TRUE(server.engine().Register(ExactSpec()).ok());
   server.Start();
@@ -494,29 +494,29 @@ TEST(SubscriptionTest, V4ClientKeepsStrictFifoWhileTriggersFire) {
       [&](const TriggerFired&, const obs::SpanContext&) { ++fired; });
   SubscribeRequest request;
   request.statements = {
-      "CREATE TRIGGER v5only ON exact WHEN exact >= 0 EVERY 100 TUPLES"};
+      "CREATE TRIGGER crossed ON exact WHEN exact >= 0 EVERY 100 TUPLES"};
   ASSERT_TRUE(subscriber->Subscribe(request).ok());
 
   RawConn conn(server.port());
-  conn.Send(EncodeRequestFrame(MsgType::kPing, {}, {}, /*version=*/4));
-  // This v4 batch crosses the trigger boundary — the firing pushes to
-  // the v5 subscriber, not back to this connection.
+  conn.Send(EncodeRequestFrame(MsgType::kPing, {}));
+  // This batch crosses the trigger boundary — the firing pushes to the
+  // subscriber, not back to this connection.
   conn.Send(EncodeRequestFrame(MsgType::kObserveBatch,
-                               EncodeObserveBatchRequest(IdBatch(0, 400)), {},
-                               /*version=*/4));
-  conn.Send(EncodeRequestFrame(MsgType::kPing, {}, {}, /*version=*/4));
+                               EncodeObserveBatchRequest(IdBatch(0, 400))));
+  conn.Send(EncodeRequestFrame(MsgType::kPing, {}));
+  ASSERT_TRUE(subscriber->WaitForTrigger(5000).ok());
+  // Sent after the firing was delivered: a push wrongly routed here would
+  // already sit ahead of this answer.
+  conn.Send(EncodeRequestFrame(MsgType::kPing, {}));
 
   const MsgType expected[] = {MsgType::kPing, MsgType::kObserveBatch,
-                              MsgType::kPing};
+                              MsgType::kPing, MsgType::kPing};
   for (MsgType want : expected) {
     auto frame = conn.ReadFrame();
     ASSERT_TRUE(frame.ok()) << frame.status();
     EXPECT_TRUE(frame->is_response());
     EXPECT_EQ(frame->type(), want);
-    EXPECT_EQ(frame->version, 4u);  // answered in the request's dialect
   }
-
-  ASSERT_TRUE(subscriber->WaitForTrigger(5000).ok());
   EXPECT_EQ(fired, 1u);
 }
 

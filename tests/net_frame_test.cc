@@ -30,12 +30,11 @@ std::string FromHex(std::string_view hex) {
 }
 
 // Known-answer vectors: the exact bytes of two minimal frames. A change
-// here is a wire-format break — old clients stop interoperating. The CRC
-// trailers are Castagnoli CRC32C values over the envelope bytes.
-// (Version byte is 0x06 since protocol v6 — the dialect that adds the
-// SNAPSHOT_DELTA pull. The envelope payload still opens with a varint
-// extension-block length — 0x00 when no trace context rides the frame —
-// before the message payload, as in v3.)
+// here is a wire-format break — deployed peers stop interoperating. The
+// CRC trailers are Castagnoli CRC32C values over the envelope bytes.
+// (Version byte 0x06 is kWireProtocolVersion. The envelope payload opens
+// with a varint extension-block length — 0x00 when no trace context
+// rides the frame — before the message payload.)
 TEST(FrameKatTest, PingRequestBytes) {
   EXPECT_EQ(EncodeRequestFrame(MsgType::kPing, {}),
             FromHex("0c000000494d505706010100" "e265fdc8"));
@@ -47,17 +46,6 @@ TEST(FrameKatTest, QueryOkResponseBytes) {
   EXPECT_EQ(EncodeResponseFrame(MsgType::kQuery,
                                 EncodeResponsePayload(Status::OK())),
             FromHex("0e000000494d5057068303000000" "c5feab58"));
-}
-
-// The v2 dialect must keep emitting byte-identical frames: that is what
-// lets a v3 server answer a v2 client without the client noticing.
-TEST(FrameKatTest, V2DialectBytesUnchanged) {
-  EXPECT_EQ(EncodeRequestFrame(MsgType::kPing, {}, {}, /*version=*/2),
-            FromHex("0b000000494d50570201000134" "1c6b"));
-  EXPECT_EQ(EncodeResponseFrame(MsgType::kQuery,
-                                EncodeResponsePayload(Status::OK()),
-                                /*version=*/2),
-            FromHex("0d000000494d505702830200" "00a4e212b7"));
 }
 
 // A sampled trace context rides as extension tag 1: 25 bytes of
@@ -78,11 +66,9 @@ TEST(FrameKatTest, TracedPingRequestBytes) {
                     "5fba89ea"));
 }
 
-// The v4 derivation section round-trips, and the v3 dialect of the same
-// response omits it — an old client decodes the old layout, losing only
-// the derived flag and bounds (midpoint and half-width still arrive as
-// estimate/std_error).
-TEST(FrameKatTest, QueryResponseDerivationSectionPerDialect) {
+// A derived answer's midpoint, half-width, flag and bounds all survive
+// the QUERY response codec.
+TEST(FrameKatTest, QueryResponseDerivationSectionRoundTrips) {
   QueryResponse response;
   response.tuples_seen = 42;
   QueryResult result;
@@ -96,30 +82,25 @@ TEST(FrameKatTest, QueryResponseDerivationSectionPerDialect) {
   result.upper = 15.0;
   response.results.push_back(result);
 
-  auto v4 = DecodeQueryResponse(EncodeQueryResponse(response, 4), 4);
-  ASSERT_TRUE(v4.ok()) << v4.status();
-  ASSERT_EQ(v4->results.size(), 1u);
-  EXPECT_TRUE(v4->results[0].derived);
-  EXPECT_EQ(v4->results[0].lower, 10.0);
-  EXPECT_EQ(v4->results[0].upper, 15.0);
-
-  auto v3 = DecodeQueryResponse(EncodeQueryResponse(response, 3), 3);
-  ASSERT_TRUE(v3.ok()) << v3.status();
-  ASSERT_EQ(v3->results.size(), 1u);
-  EXPECT_FALSE(v3->results[0].derived);  // not on the wire in v3
-  EXPECT_EQ(v3->results[0].estimate, 12.5);
-  EXPECT_EQ(v3->results[0].std_error, 2.5);
+  auto decoded = DecodeQueryResponse(EncodeQueryResponse(response));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->results.size(), 1u);
+  EXPECT_EQ(decoded->results[0].estimate, 12.5);
+  EXPECT_EQ(decoded->results[0].std_error, 2.5);
+  EXPECT_TRUE(decoded->results[0].derived);
+  EXPECT_EQ(decoded->results[0].lower, 10.0);
+  EXPECT_EQ(decoded->results[0].upper, 15.0);
 }
 
 TEST(FrameKatTest, QueryResponseBadDerivedFlagRejected) {
   QueryResponse response;
   QueryResult result;
   response.results.push_back(result);
-  std::string body = EncodeQueryResponse(response, 4);
+  std::string body = EncodeQueryResponse(response);
   // The derived flag is the u8 before the two bound doubles and the
   // trailing empty-warnings varint.
   body[body.size() - 2 * sizeof(double) - 2] = 2;
-  EXPECT_FALSE(DecodeQueryResponse(body, 4).ok());
+  EXPECT_FALSE(DecodeQueryResponse(body).ok());
 }
 
 TEST(FrameKatTest, HeaderFieldsWhereDocumented) {
@@ -382,7 +363,6 @@ TEST(FrameDecoderTest, NextViewAliasesBufferAndMatchesNext) {
   ASSERT_TRUE(view->has_value());
   ASSERT_TRUE(frame->has_value());
   EXPECT_EQ((*view)->tag, (*frame)->tag);
-  EXPECT_EQ((*view)->version, (*frame)->version);
   EXPECT_EQ((*view)->payload, std::string_view((*frame)->payload));
 
   // Nothing buffered behind it: both report end-of-input the same way.

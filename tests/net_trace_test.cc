@@ -1,8 +1,8 @@
-// Wire protocol v3 trace-context tests: the extension block's codec
-// (known answers, unknown-field tolerance, truncation and bit-flip
-// discipline), version negotiation against a live server (a v2 client
-// keeps working, out-of-range versions are connection-fatal), and
-// end-to-end propagation — one trace id crossing the socket from a
+// Wire trace-context tests: the extension block's codec (known answers,
+// unknown-field tolerance, truncation and bit-flip discipline), the
+// version check against a live server (every other protocol version is
+// connection-fatal and counted as a frame error, a clean close is not),
+// and end-to-end propagation — one trace id crossing the socket from a
 // client span into the server's per-phase spans.
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/engine.h"
 #include "util/serde.h"
@@ -37,12 +39,16 @@ obs::SpanContext TestTrace() {
   return trace;
 }
 
-// Wraps a hand-built v3 envelope payload (ext block + message payload)
-// into a complete frame: length prefix + envelope + CRC. The envelope
-// machinery computes a valid CRC, so these tests exercise the extension
-// parser, not the checksum.
-std::string FrameFromEnvelopePayload(uint8_t tag, std::string_view payload) {
-  std::string envelope = WrapEnvelopeAt(kWireEnvelope, 3, tag, payload);
+// Wraps a hand-built envelope payload (ext block + message payload) into
+// a complete frame stamped with protocol `version`: length prefix +
+// envelope + CRC. The envelope machinery computes a valid CRC, so these
+// tests exercise the extension parser and the version check, not the
+// checksum.
+std::string FrameFromEnvelopePayload(
+    uint8_t tag, std::string_view payload,
+    uint64_t version = kWireProtocolVersion) {
+  std::string envelope =
+      WrapEnvelope(EnvelopeFamily{kWireMagic, version, "frame"}, tag, payload);
   std::string frame;
   uint32_t len = static_cast<uint32_t>(envelope.size());
   frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
@@ -63,7 +69,6 @@ TEST(TraceContextCodecTest, RoundTripsThroughTheDecoder) {
   auto frame =
       DecodeOne(EncodeRequestFrame(MsgType::kQuery, "payload", trace));
   ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->version, kWireProtocolVersion);
   EXPECT_EQ(frame->payload, "payload");
   EXPECT_TRUE(frame->trace.valid());
   EXPECT_EQ(frame->trace.trace_hi, trace.trace_hi);
@@ -90,18 +95,6 @@ TEST(TraceContextCodecTest, InvalidTraceCostsOneByteAndDecodesInvalid) {
   EXPECT_EQ(traced.size(), plain.size() + 27);
   auto frame = DecodeOne(plain);
   ASSERT_TRUE(frame.ok());
-  EXPECT_FALSE(frame->trace.valid());
-  EXPECT_EQ(frame->payload, "payload");
-}
-
-TEST(TraceContextCodecTest, V2FramesDecodeWithVersionAndNoTrace) {
-  auto frame = DecodeOne(
-      EncodeRequestFrame(MsgType::kQuery, "payload", TestTrace(),
-                         /*version=*/2));
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->version, 2u);
-  // The v2 dialect has nowhere to put the trace — it is dropped, and the
-  // payload is NOT shifted by a phantom ext-length byte.
   EXPECT_FALSE(frame->trace.valid());
   EXPECT_EQ(frame->payload, "payload");
 }
@@ -277,7 +270,7 @@ class LoopbackServer {
 };
 
 // A protocol-level client speaking whatever bytes the test hands it —
-// how a not-yet-upgraded v2 binary looks to the server.
+// how a peer built for another protocol version looks to the server.
 class RawConn {
  public:
   explicit RawConn(uint16_t port) { Open(port); }
@@ -327,31 +320,11 @@ class RawConn {
   FrameDecoder decoder_{1 << 20};
 };
 
-TEST(WireCompatTest, V2ClientIsAnsweredInV2) {
-  LoopbackServer server;
-  ASSERT_TRUE(server.engine().Register(ExactSpec()).ok());
-  server.Start();
-
-  RawConn conn(server.port());
-  conn.Send(EncodeRequestFrame(MsgType::kPing, {}, {}, /*version=*/2));
-  auto pong = conn.ReadFrame();
-  ASSERT_TRUE(pong.ok()) << pong.status();
-  EXPECT_TRUE(pong->is_response());
-  EXPECT_EQ(pong->type(), MsgType::kPing);
-  // The server answers in the dialect the request arrived in.
-  EXPECT_EQ(pong->version, 2u);
-  auto decoded = DecodeResponsePayload(pong->payload);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->first.ok());
-
-  // The same connection may upgrade mid-stream: a current-dialect traced
-  // request gets a current-dialect response.
-  conn.Send(EncodeRequestFrame(MsgType::kQuery, EncodeQueryRequest({}),
-                               TestTrace()));
-  auto answer = conn.ReadFrame();
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_EQ(answer->type(), MsgType::kQuery);
-  EXPECT_EQ(answer->version, kWireProtocolVersion);
+// A PING stamped with protocol `version`, laid out as the current
+// dialect (empty extension block) — so only the version can object.
+std::string PingAtVersion(uint64_t version) {
+  return FrameFromEnvelopePayload(static_cast<uint8_t>(MsgType::kPing),
+                                  std::string(1, '\0'), version);
 }
 
 TEST(WireCompatTest, OutOfRangeVersionsAreConnectionFatal) {
@@ -359,21 +332,77 @@ TEST(WireCompatTest, OutOfRangeVersionsAreConnectionFatal) {
   ASSERT_TRUE(server.engine().Register(ExactSpec()).ok());
   server.Start();
 
-  {
-    RawConn conn(server.port());  // v1: below the accepted range
-    conn.Send(EncodeRequestFrame(MsgType::kPing, {}, {}, /*version=*/1));
-    EXPECT_FALSE(conn.ReadFrame().ok());
+  for (uint64_t version : {1, 2, 3, 4, 5, 7}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    auto refused = DecodeOne(PingAtVersion(version));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.status().message().find(
+                  "unsupported format version " + std::to_string(version)),
+              std::string_view::npos)
+        << refused.status();
+
+    RawConn conn(server.port());
+    conn.Send(PingAtVersion(version));
+    EXPECT_FALSE(conn.ReadFrame().ok());  // closed, never answered
   }
-  {
-    RawConn conn(server.port());  // a future dialect we cannot parse
-    conn.Send(EncodeRequestFrame(MsgType::kPing, {}, {},
-                                 /*version=*/kWireProtocolVersion + 1));
-    EXPECT_FALSE(conn.ReadFrame().ok());
-  }
-  // The server itself shrugged both off.
+  // The helper's bytes are sound: at the current version they are a PING
+  // the decoder accepts and the server answers.
+  auto ping = DecodeOne(PingAtVersion(kWireProtocolVersion));
+  ASSERT_TRUE(ping.ok()) << ping.status();
+  EXPECT_EQ(ping->type(), MsgType::kPing);
+  EXPECT_TRUE(ping->payload.empty());
+  RawConn conn(server.port());
+  conn.Send(PingAtVersion(kWireProtocolVersion));
+  auto pong = conn.ReadFrame();
+  ASSERT_TRUE(pong.ok()) << pong.status();
+  EXPECT_TRUE(pong->is_response());
+  EXPECT_EQ(pong->type(), MsgType::kPing);
+  // The server itself shrugged every refusal off.
   auto client = server.Connect();
   ASSERT_TRUE(client.ok());
   EXPECT_TRUE(client->Ping().ok());
+}
+
+// implistat_net_frame_errors_total counts refused frames only: clean
+// connect-ping-close cycles leave it alone, one off-version frame moves it
+// by exactly one.
+TEST(WireCompatTest, FrameErrorsCountRefusalsNotCleanCloses) {
+  if (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "metrics compiled out (IMPLISTAT_METRICS=OFF)";
+  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  LoopbackServer server;
+  ASSERT_TRUE(server.engine().Register(ExactSpec()).ok());
+  server.Start();
+  obs::Counter* frame_errors =
+      registry.GetCounter("implistat_net_frame_errors_total");
+  obs::Gauge* connections = registry.GetGauge("implistat_net_connections");
+  const int64_t idle = connections->Value();
+  // The server counts a bad frame before it reaps the connection, so once
+  // the gauge is back at `idle` every close has been fully handled.
+  auto all_reaped = [&] {
+    for (int i = 0; i < 500 && connections->Value() != idle; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return connections->Value() == idle;
+  };
+  const uint64_t before = frame_errors->Value();
+
+  for (int i = 0; i < 5; ++i) {
+    auto client = server.Connect();
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->Ping().ok());
+  }
+  ASSERT_TRUE(all_reaped());
+  EXPECT_EQ(frame_errors->Value(), before);
+
+  {
+    RawConn conn(server.port());
+    conn.Send(PingAtVersion(5));
+    EXPECT_FALSE(conn.ReadFrame().ok());
+  }
+  ASSERT_TRUE(all_reaped());
+  EXPECT_EQ(frame_errors->Value(), before + 1);
 }
 
 TEST(WireTraceTest, OneTraceCrossesTheSocketIntoServerPhases) {

@@ -110,6 +110,11 @@ TEST(ParserTest, SyntaxErrors) {
       "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B WITH K = x",
       "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B WITH BOGUS = 1",
       "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B WITH K = 0",
+      "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B WITH K = -1",
+      "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B WITH SUPPORT = -1",
+      "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B WITH WINDOW = -1",
+      "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B WITH K = 4294967297",
+      "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B WITH C = 4294967298",
       "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B AND T = 'x",
       "SELECT COUNT(DISTINCT A) FROM r WHERE A IMPLIES B AND T ! 3",
   };

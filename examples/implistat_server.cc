@@ -1,24 +1,39 @@
-// implistat_server: serve implication queries over a socket.
+// implistat_server: serve implication queries over a socket, as an edge
+// or as the aggregator of a fleet of edges.
 //
 //   implistat_server [options] <file.csv|-> "QUERY" ["QUERY" ...]
 //   implistat_server [options] --restore PATH <file.csv|->
+//   implistat_server [options] --peer HOST:PORT [--peer ...]
+//       <file.csv|-> "QUERY" ["QUERY" ...]
 //
 // Loads a CSV (dictionary-coding its values), registers the queries, and
 // serves the wire protocol (src/net/wire.h): remote OBSERVE_BATCH ingest,
 // QUERY readouts with error bars, SNAPSHOT/MERGE aggregation, METRICS,
 // CHECKPOINT and graceful SHUTDOWN. SIGTERM/SIGINT drain cleanly; with
-// --checkpoint they leave a restorable engine checkpoint behind.
+// --checkpoint they leave a restorable engine checkpoint behind. See
+// README "Running as a service".
 //
-// Pass an empty CSV body (header only) to start a blank aggregator that
-// only ever ingests remotely. See README "Running as a service".
+// With --peer the server is an aggregator (src/cluster/): it pulls every
+// peer's state with SNAPSHOT_DELTA on its own schedule, with per-RPC
+// deadlines and jittered backoff, and serves the replace-then-refold
+// aggregate. The CSV is usually header-only; any body rows become the
+// aggregator's own base contribution. A peer that stays dark for
+// --stale-after polls goes STALE: it leaves the fold and every QUERY
+// response names it in its warnings until it returns. Folds are injected
+// into the serving loop (Server::InjectTask), so the engine keeps its
+// one-thread discipline, and the aggregate's own SNAPSHOT ships it
+// upward — point another aggregator at this one to build an edge →
+// mid-tier → root hierarchy. See README "Running a cluster".
 
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "cluster/supervisor.h"
 #include "cql/parser.h"
 #include "net/server.h"
 #include "obs/trace.h"
@@ -64,7 +79,15 @@ int Usage(const char* argv0) {
       << "  --trigger FILE        install CREATE TRIGGER statements (';'-\n"
       << "                        separated) before serving; repeatable\n"
       << "  --trigger-expr STR    one CREATE TRIGGER statement inline;\n"
-      << "                        repeatable\n";
+      << "                        repeatable\n\n"
+      << "aggregator options (no --restore):\n"
+      << "  --peer HOST:PORT      an edge server to supervise; repeatable\n"
+      << "  --poll-interval-ms N  gap between pulls per peer (default 1000)\n"
+      << "  --rpc-deadline-ms N   per-RPC deadline (default 2000)\n"
+      << "  --connect-timeout-ms N\n"
+      << "                        TCP connect timeout (default 2000)\n"
+      << "  --stale-after N       consecutive failures before a peer is\n"
+      << "                        STALE and excluded (default 3)\n";
   return 2;
 }
 
@@ -84,6 +107,8 @@ int main(int argc, char** argv) {
   std::string trace_json_path;
   std::vector<std::string> trigger_statements;
   QueryEngineOptions engine_options;
+  std::vector<cluster::PeerConfig> peers;
+  cluster::SupervisorOptions supervisor_options;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -161,6 +186,31 @@ int main(int argc, char** argv) {
       for (std::string& statement : cql::SplitStatements(v)) {
         trigger_statements.push_back(std::move(statement));
       }
+    } else if (arg == "--peer") {
+      const char* v = take_value("--peer");
+      if (v == nullptr) return 2;
+      auto parsed = cluster::ParsePeerSpec(v);
+      if (!parsed.ok()) {
+        std::cerr << "bad --peer: " << parsed.status() << "\n";
+        return 2;
+      }
+      peers.push_back(std::move(parsed).value());
+    } else if (arg == "--poll-interval-ms") {
+      const char* v = take_value("--poll-interval-ms");
+      if (v == nullptr) return 2;
+      supervisor_options.poll_interval_ms = std::atoll(v);
+    } else if (arg == "--rpc-deadline-ms") {
+      const char* v = take_value("--rpc-deadline-ms");
+      if (v == nullptr) return 2;
+      supervisor_options.rpc_deadline_ms = std::atoll(v);
+    } else if (arg == "--connect-timeout-ms") {
+      const char* v = take_value("--connect-timeout-ms");
+      if (v == nullptr) return 2;
+      supervisor_options.connect_timeout_ms = std::atoll(v);
+    } else if (arg == "--stale-after") {
+      const char* v = take_value("--stale-after");
+      if (v == nullptr) return 2;
+      supervisor_options.stale_after_failures = std::atoi(v);
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown option " << arg << "\n";
       return Usage(argv[0]);
@@ -170,6 +220,11 @@ int main(int argc, char** argv) {
   }
   if (restore_path.empty()) {
     if (positional.size() < 2) return Usage(argv[0]);
+  } else if (!peers.empty()) {
+    // A restored aggregate already holds its peers' states; Init() would
+    // fold them in a second time as the base contribution.
+    std::cerr << "--restore cannot be combined with --peer\n";
+    return 2;
   } else if (positional.size() != 1) {
     std::cerr << "--restore takes its queries from the checkpoint; pass "
                  "only the input file\n";
@@ -249,6 +304,24 @@ int main(int argc, char** argv) {
   // the stream; remote batches then continue the count.
   while (auto tuple = table->stream.Next()) engine.ObserveTuple(*tuple);
 
+  // An aggregator captures those rows as its base contribution. The
+  // supervisor polls peers on its own thread, but every fold is injected
+  // into the serving loop so only that thread touches the engine once
+  // Run() starts; server_ptr is set before Start() below.
+  net::Server* server_ptr = nullptr;
+  std::unique_ptr<cluster::AggregatorSupervisor> supervisor;
+  if (!peers.empty()) {
+    supervisor = std::make_unique<cluster::AggregatorSupervisor>(
+        &engine, std::move(peers), supervisor_options,
+        [&server_ptr](std::function<void()> task) {
+          server_ptr->InjectTask(std::move(task));
+        });
+    if (Status status = supervisor->Init(); !status.ok()) {
+      std::cerr << "supervisor error: " << status << "\n";
+      return 1;
+    }
+  }
+
   // Arm triggers after the local feed: pre-serve rows inform the moving
   // averages only once remote ingest starts, so a subscriber never sees
   // a firing that predates the socket.
@@ -274,12 +347,18 @@ int main(int argc, char** argv) {
   options.max_pipeline_depth = static_cast<size_t>(pipeline_depth);
   options.checkpoint_path = checkpoint_path;
   options.idle_timeout_ms = idle_timeout_ms;
+  if (supervisor != nullptr) {
+    options.query_warnings = [&supervisor] {
+      return supervisor->QueryWarnings();
+    };
+  }
   net::Server server(&engine, options);
   if (Status status = server.Start(); !status.ok()) {
     std::cerr << "start error: " << status << "\n";
     return 1;
   }
   g_server = &server;
+  server_ptr = &server;
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGINT, HandleSignal);
 
@@ -290,8 +369,14 @@ int main(int argc, char** argv) {
   std::cerr << "serving " << engine.num_queries() << " queries at "
             << engine.tuples_seen() << " tuples\n";
 
+  if (supervisor != nullptr) {
+    std::cerr << "aggregating from " << supervisor->PeerStatuses().size()
+              << " peers\n";
+    supervisor->Start();
+  }
   Status status = server.Run();
   g_server = nullptr;
+  if (supervisor != nullptr) supervisor->Stop();
   if (!trace_json_path.empty()) {
     Status dumped = WriteFileAtomic(
         trace_json_path, obs::WriteTraceJson(obs::Tracer::Snapshot()));

@@ -134,14 +134,15 @@ struct AggregatorSupervisor::Peer {
   // Contribution, one slot per fold unit (poll-thread only): the unit's
   // state as of the last successful pull, as a live estimator.
   struct UnitState {
-    // The twin SNAPSHOT_DELTA patches land in, or the decoded full
-    // snapshot on the full-pull path.
+    // The twin SNAPSHOT_DELTA patches land in, or, for a kind without
+    // deltas, the decoded full snapshot.
     std::unique_ptr<ImplicationEstimator> estimator;
-    // The baseline the next delta pull builds on; 0 = none (bootstrap).
+    // The baseline the next pull names as since_epoch; 0 = none, which
+    // asks for a full answer (bootstrap, or a kind without deltas).
     uint64_t acked_epoch = 0;
-    bool delta_capable = true;  // false: the kind serves no deltas
-    // Full-path units only: the bytes `estimator` was decoded from, so a
-    // re-ship of the same state is recognized without decoding it again.
+    // Kinds without deltas only: the bytes `estimator` was decoded from,
+    // so a re-ship of the same state is recognized without decoding it
+    // again.
     std::string full_state;
   };
   std::vector<UnitState> units;
@@ -168,8 +169,7 @@ struct AggregatorSupervisor::Peer {
 // One unit's fetched response, decoded as far as it can be without
 // touching the unit's contribution.
 struct AggregatorSupervisor::UnitPull {
-  // The acked epoch a delta request named; 0 for bootstraps and full
-  // pulls.
+  // The since_epoch the request named; 0 asks for a full answer.
   uint64_t since = 0;
   net::DeltaSnapshotResponse response;
   // Full answers only: whether the kind serves deltas, and the decoded
@@ -254,31 +254,27 @@ Status AggregatorSupervisor::FetchUnit(Peer& peer, size_t u,
   const QueryEngine::FoldUnit& unit = fold_units_[u];
   const uint32_t query_id = static_cast<uint32_t>(unit.representative);
   const Peer::UnitState& state = peer.units[u];
-  if (options_.use_deltas && state.delta_capable) {
-    pull->since = state.acked_epoch;
-    IMPLISTAT_ASSIGN_OR_RETURN(
-        pull->response,
-        peer.client->SnapshotDelta(query_id, pull->since, net::kDeltaCapRle));
-    if (pull->response.is_delta) {
-      if (pull->since == 0) {
-        return Status::InvalidArgument(
-            "peer answered a since_epoch 0 pull with a delta");
-      }
-      return Status::OK();
+  // Every pull is a SNAPSHOT_DELTA against the acked epoch. A kind
+  // without deltas never acks one, so it names 0 and is answered in full
+  // every round.
+  pull->since = state.acked_epoch;
+  IMPLISTAT_ASSIGN_OR_RETURN(
+      pull->response,
+      peer.client->SnapshotDelta(query_id, pull->since, net::kDeltaCapRle));
+  if (pull->response.is_delta) {
+    if (pull->since == 0) {
+      return Status::InvalidArgument(
+          "peer answered a since_epoch 0 pull with a delta");
     }
-  } else {
-    IMPLISTAT_ASSIGN_OR_RETURN(net::SnapshotResponse full,
-                               peer.client->Snapshot(query_id));
-    pull->response.epoch = full.epoch;
-    pull->response.state = std::move(full.state);
+    return Status::OK();
   }
   // A full answer is decoded here, once, so a bad snapshot fails the pull
   // before any unit's contribution has changed.
   const std::string& bytes = pull->response.state;
   IMPLISTAT_ASSIGN_OR_RETURN(SnapshotKind kind, PeekSnapshotKind(bytes));
   pull->delta_capable = KindSupportsDeltas(kind);
-  const bool full_path = !(options_.use_deltas && pull->delta_capable);
-  if (full_path && state.estimator != nullptr && bytes == state.full_state) {
+  if (!pull->delta_capable && state.estimator != nullptr &&
+      bytes == state.full_state) {
     return Status::OK();  // the decoded contribution already holds these
   }
   IMPLISTAT_ASSIGN_OR_RETURN(pull->decoded,
@@ -334,9 +330,8 @@ StatusOr<bool> AggregatorSupervisor::ApplyUnit(Peer& peer, size_t u,
   // A full snapshot replaces the contribution: delta-capable kinds become
   // the twin the next round patches, the rest keep their bytes for the
   // next comparison.
-  const bool twin = options_.use_deltas && pull.delta_capable;
+  const bool twin = pull.delta_capable;
   state.estimator = std::move(pull.decoded);
-  state.delta_capable = pull.delta_capable;
   state.acked_epoch = twin ? pull.response.epoch : 0;
   state.full_state = twin ? std::string() : std::move(pull.response.state);
   return true;

@@ -17,14 +17,15 @@
 // single-process answer as soon as the edge catches up.
 //
 // Contributions: per peer and fold unit the supervisor holds one live
-// estimator, the unit's state as of the last successful pull. By default
-// it is a twin: SNAPSHOT_DELTA patches keyed by the last acked epoch
-// land in it, and its state stays byte-identical to the full snapshot
-// the edge would have shipped, so only the wire cost shrinks. Kinds
-// without deltas and --no-deltas pull full snapshots, each decoded once
-// as it arrives (a re-ship of the same bytes is recognized and not
-// decoded again). A refold merges these estimators directly; no bytes
-// travel between the pull and the fold.
+// estimator, the unit's state as of the last successful pull. Every pull
+// is a SNAPSHOT_DELTA. For a delta-capable kind the estimator is a twin:
+// patches keyed by the last acked epoch land in it, and its state stays
+// byte-identical to the full snapshot the edge would have shipped, so
+// only the wire cost shrinks. A kind without deltas names since_epoch 0
+// and is answered in full every round, each snapshot decoded once as it
+// arrives (a re-ship of the same bytes is recognized and not decoded
+// again). A refold merges these estimators directly; no bytes travel
+// between the pull and the fold.
 // Any refusal (edge restart, evicted baseline, corrupt patch) falls back
 // to a full snapshot in the same round — a "resync", counted in
 // implistat_delta_resyncs_total — and re-arms delta pulls from there.
@@ -62,7 +63,7 @@
 // has started patching twins stays correct without locks or copies.
 // PeerStatuses() and QueryWarnings() are thread-safe readers.
 //
-// Hierarchy: an aggregator is itself a server, and its SNAPSHOT response
+// Hierarchy: an aggregator is itself a server, and its snapshot answer
 // carries its folded state with epoch = sum of folded peer epochs, so a
 // higher tier supervises aggregators exactly like edges — edge →
 // mid-tier → root composes without new machinery.
@@ -103,7 +104,7 @@ const char* PeerHealthName(PeerHealth health);
 struct SupervisorOptions {
   /// Target gap between successful pulls from one peer.
   int64_t poll_interval_ms = 1000;
-  /// Per-RPC deadline for SNAPSHOT pulls (net::ClientOptions
+  /// Per-RPC deadline for SNAPSHOT_DELTA pulls (net::ClientOptions
   /// request_timeout_ms); a hung edge costs one deadline, never a wedge.
   int64_t rpc_deadline_ms = 2000;
   /// TCP connect timeout when (re)dialing a peer.
@@ -118,11 +119,6 @@ struct SupervisorOptions {
   int stale_after_failures = 3;
   /// Seed for the deterministic backoff jitter (tests pin it).
   uint64_t jitter_seed = 0xc105ce5;
-  /// Pull SNAPSHOT_DELTA patches against the last acked epoch instead
-  /// of full snapshots. Snapshot kinds without delta support fall back
-  /// to full pulls automatically; any refused patch resyncs with a full
-  /// snapshot in the same round.
-  bool use_deltas = true;
 };
 
 /// The jittered backoff delay before retry number `consecutive_failures`
@@ -221,10 +217,10 @@ class AggregatorSupervisor {
   // responses first, then applies them; OK only if all arrive. Pull-mode
   // counts and resyncs are tallied into `stats`.
   Status PullPeer(Peer& peer, PollStats* stats);
-  // Requests unit `u`'s state — a patch against the acked epoch when
-  // use_deltas is on and the kind serves deltas, else a full snapshot —
-  // and decodes a full answer into a fresh estimator without touching
-  // the unit's contribution.
+  // Requests unit `u`'s state with SNAPSHOT_DELTA against the acked
+  // epoch (0, a full answer, for a kind without deltas) and decodes a
+  // full answer into a fresh estimator without touching the unit's
+  // contribution.
   Status FetchUnit(Peer& peer, size_t u, UnitPull* pull);
   // Lands a fetched response in unit `u`'s contribution: applies the
   // patch to the twin or installs the decoded snapshot. A refused patch

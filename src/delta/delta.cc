@@ -56,17 +56,6 @@ Status ReadDeltaHeader(ByteReader* in, DeltaInfo* info,
 
 }  // namespace
 
-StatusOr<DeltaInfo> PeekDeltaInfo(std::string_view delta_snapshot) {
-  IMPLISTAT_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      UnwrapSnapshot(delta_snapshot, SnapshotKind::kDeltaSnapshot));
-  ByteReader in(payload);
-  DeltaInfo info;
-  uint64_t uncompressed_len;
-  IMPLISTAT_RETURN_NOT_OK(ReadDeltaHeader(&in, &info, &uncompressed_len));
-  return info;
-}
-
 StatusOr<std::string> UnwrapDeltaSnapshot(std::string_view delta_snapshot,
                                           DeltaInfo* info) {
   IMPLISTAT_ASSIGN_OR_RETURN(

@@ -52,10 +52,6 @@ struct DeltaInfo {
 std::string WrapDeltaSnapshot(uint64_t base_epoch, uint64_t new_epoch,
                               std::string_view fragment, bool allow_rle);
 
-/// Reads the epochs and flags without decompressing the body (envelope
-/// magic/version/CRC are still fully validated).
-StatusOr<DeltaInfo> PeekDeltaInfo(std::string_view delta_snapshot);
-
 /// Validates the envelope, decompresses if needed, and returns the raw
 /// estimator fragment. `info` (optional) receives the header fields.
 StatusOr<std::string> UnwrapDeltaSnapshot(std::string_view delta_snapshot,

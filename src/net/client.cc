@@ -38,7 +38,8 @@ Status SetBlocking(int fd, bool blocking) {
 }
 
 // Waits for `events` on `fd` until the absolute deadline (-1 = forever).
-// OK means ready; kDeadlineExceeded means the deadline fired first.
+// OK means ready; kDeadlineExceeded means the deadline fired first, and
+// kUnavailable that poll itself failed.
 Status PollUntil(int fd, short events, int64_t deadline_ms,
                  const char* what) {
   for (;;) {
@@ -59,7 +60,7 @@ Status PollUntil(int fd, short events, int64_t deadline_ms,
                                       ": deadline exceeded");
     }
     if (errno == EINTR) continue;
-    return Status::IOError(std::string("poll: ") + strerror(errno));
+    return Status::Unavailable(std::string("poll: ") + strerror(errno));
   }
 }
 
@@ -183,87 +184,13 @@ Status Client::MarkLost(Status status) {
   return status;
 }
 
-Status Client::SendAll(std::string_view bytes, int64_t deadline_ms) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    if (deadline_ms >= 0) {
-      Status ready = PollUntil(fd_, POLLOUT, deadline_ms, "send");
-      if (!ready.ok()) {
-        return MarkLost(ready.code() == StatusCode::kDeadlineExceeded
-                            ? std::move(ready)
-                            : Status::Unavailable("connection lost: " +
-                                                  ready.ToString()));
-      }
-    }
-    ssize_t n = send(fd_, bytes.data() + sent, bytes.size() - sent,
-                     MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return MarkLost(Status::Unavailable(std::string("connection lost: send: ") +
-                                        strerror(errno)));
-  }
-  return Status::OK();
+int64_t Client::RequestDeadlineMs() const {
+  return options_.request_timeout_ms > 0
+             ? NowMs() + options_.request_timeout_ms
+             : -1;
 }
 
-Status Client::SendRaw(std::string_view bytes) {
-  if (connection_lost()) {
-    return Status::Unavailable("connection lost (call Reconnect)");
-  }
-  return SendAll(bytes, -1);
-}
-
-StatusOr<Frame> Client::ReadResponse(MsgType expected_type,
-                                     int64_t deadline_ms) {
-  char buf[65536];
-  for (;;) {
-    IMPLISTAT_ASSIGN_OR_RETURN(std::optional<Frame> frame, decoder_->Next());
-    if (frame.has_value()) {
-      // Unsolicited pushes interleave with responses on a subscribed
-      // connection; peel them off before the positional FIFO match so
-      // pipelined correlation never slips.
-      if (frame->is_response() && frame->type() == MsgType::kTriggerFired) {
-        Status dispatched = DispatchTriggerPush(*frame);
-        if (!dispatched.ok()) return MarkLost(std::move(dispatched));
-        continue;
-      }
-      if (!frame->is_response() || frame->type() != expected_type) {
-        return MarkLost(Status::Internal(
-            "out-of-order response: expected " +
-            std::string(MsgTypeName(expected_type)) + ", got tag " +
-            std::to_string(static_cast<int>(frame->tag))));
-      }
-      return *std::move(frame);
-    }
-    if (deadline_ms >= 0) {
-      Status ready = PollUntil(fd_, POLLIN, deadline_ms, "recv");
-      if (!ready.ok()) {
-        return MarkLost(ready.code() == StatusCode::kDeadlineExceeded
-                            ? std::move(ready)
-                            : Status::Unavailable("connection lost: " +
-                                                  ready.ToString()));
-      }
-    }
-    ssize_t n = recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      IMPLISTAT_RETURN_NOT_OK(
-          decoder_->Append(std::string_view(buf, static_cast<size_t>(n))));
-      continue;
-    }
-    if (n == 0) {
-      return MarkLost(
-          Status::Unavailable("connection lost: server closed the "
-                              "connection mid-response"));
-    }
-    if (errno == EINTR) continue;
-    return MarkLost(Status::Unavailable(std::string("connection lost: recv: ") +
-                                        strerror(errno)));
-  }
-}
-
-Status Client::SendDraining(std::string_view bytes, int64_t deadline_ms) {
+Status Client::Send(std::string_view bytes, int64_t deadline_ms) {
   size_t sent = 0;
   while (sent < bytes.size()) {
     // MSG_DONTWAIT on a blocking socket: try the write, and when the
@@ -282,12 +209,7 @@ Status Client::SendDraining(std::string_view bytes, int64_t deadline_ms) {
           std::string("connection lost: send: ") + strerror(errno)));
     }
     Status ready = PollUntil(fd_, POLLOUT | POLLIN, deadline_ms, "send");
-    if (!ready.ok()) {
-      return MarkLost(ready.code() == StatusCode::kDeadlineExceeded
-                          ? std::move(ready)
-                          : Status::Unavailable("connection lost: " +
-                                                ready.ToString()));
-    }
+    if (!ready.ok()) return MarkLost(std::move(ready));
     char buf[65536];
     ssize_t r = recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
     if (r > 0) {
@@ -302,6 +224,79 @@ Status Client::SendDraining(std::string_view bytes, int64_t deadline_ms) {
   return Status::OK();
 }
 
+StatusOr<Frame> Client::NextFrame(int64_t deadline_ms) {
+  char buf[65536];
+  for (;;) {
+    IMPLISTAT_ASSIGN_OR_RETURN(std::optional<Frame> frame, decoder_->Next());
+    if (frame.has_value()) return *std::move(frame);
+    if (deadline_ms >= 0) {
+      IMPLISTAT_RETURN_NOT_OK(PollUntil(fd_, POLLIN, deadline_ms, "recv"));
+    }
+    ssize_t n = recv(fd_, buf, sizeof(buf), 0);
+    if (n > 0) {
+      IMPLISTAT_RETURN_NOT_OK(
+          decoder_->Append(std::string_view(buf, static_cast<size_t>(n))));
+      continue;
+    }
+    if (n == 0) {
+      return Status::Unavailable(
+          "connection lost: server closed the connection");
+    }
+    if (errno == EINTR) continue;
+    return Status::Unavailable(std::string("connection lost: recv: ") +
+                               strerror(errno));
+  }
+}
+
+StatusOr<Frame> Client::ReadResponse(MsgType expected_type,
+                                     int64_t deadline_ms) {
+  for (;;) {
+    // A corrupt frame, a missed deadline or a dead socket leaves the
+    // stream unaligned; no later response can be trusted to line up with
+    // its request.
+    StatusOr<Frame> frame = NextFrame(deadline_ms);
+    if (!frame.ok()) return MarkLost(frame.status());
+    // Unsolicited pushes interleave with responses on a subscribed
+    // connection; peel them off before the positional FIFO match so
+    // pipelined correlation never slips.
+    if (frame->is_response() && frame->type() == MsgType::kTriggerFired) {
+      IMPLISTAT_RETURN_NOT_OK(DispatchTriggerPush(*frame));
+      continue;
+    }
+    if (!frame->is_response() || frame->type() != expected_type) {
+      return MarkLost(Status::Internal(
+          "out-of-order response: expected " +
+          std::string(MsgTypeName(expected_type)) + ", got tag " +
+          std::to_string(static_cast<int>(frame->tag))));
+    }
+    return frame;
+  }
+}
+
+Status Client::SendRaw(std::string_view bytes) {
+  if (connection_lost()) {
+    return Status::Unavailable("connection lost (call Reconnect)");
+  }
+  return Send(bytes, -1);
+}
+
+Status Client::SubmitFrame(MsgType type, std::string_view frame,
+                           int64_t deadline_ms) {
+  IMPLISTAT_RETURN_NOT_OK(Send(frame, deadline_ms));
+  pipeline_.push_back(type);
+  return Status::OK();
+}
+
+StatusOr<std::string> Client::AwaitResponse(int64_t deadline_ms) {
+  IMPLISTAT_ASSIGN_OR_RETURN(Frame frame,
+                             ReadResponse(pipeline_.front(), deadline_ms));
+  pipeline_.pop_front();
+  IMPLISTAT_ASSIGN_OR_RETURN(auto decoded,
+                             DecodeResponsePayload(frame.payload));
+  IMPLISTAT_RETURN_NOT_OK(decoded.first);
+  return std::string(decoded.second);
+}
+
 Status Client::Submit(MsgType type, std::string_view bytes,
                       bool pre_encoded) {
   if (connection_lost()) {
@@ -312,20 +307,11 @@ Status Client::Submit(MsgType type, std::string_view bytes,
         "pipeline window full (" + std::to_string(pipeline_.size()) +
         " in flight); Await() to make room");
   }
-  const int64_t deadline_ms = options_.request_timeout_ms > 0
-                                  ? NowMs() + options_.request_timeout_ms
-                                  : -1;
-  Status sent;
-  if (pre_encoded) {
-    sent = SendDraining(bytes, deadline_ms);
-  } else {
-    sent = SendDraining(
-        EncodeRequestFrame(type, bytes, obs::Tracer::CurrentContext()),
-        deadline_ms);
-  }
-  IMPLISTAT_RETURN_NOT_OK(std::move(sent));
-  pipeline_.push_back(type);
-  return Status::OK();
+  const int64_t deadline_ms = RequestDeadlineMs();
+  if (pre_encoded) return SubmitFrame(type, bytes, deadline_ms);
+  return SubmitFrame(
+      type, EncodeRequestFrame(type, bytes, obs::Tracer::CurrentContext()),
+      deadline_ms);
 }
 
 StatusOr<std::string> Client::Await() {
@@ -335,19 +321,7 @@ StatusOr<std::string> Client::Await() {
   if (connection_lost()) {
     return Status::Unavailable("connection lost (call Reconnect)");
   }
-  const int64_t deadline_ms = options_.request_timeout_ms > 0
-                                  ? NowMs() + options_.request_timeout_ms
-                                  : -1;
-  StatusOr<Frame> frame = ReadResponse(pipeline_.front(), deadline_ms);
-  if (!frame.ok()) {
-    lost_ = true;
-    return frame.status();
-  }
-  pipeline_.pop_front();
-  IMPLISTAT_ASSIGN_OR_RETURN(auto decoded,
-                             DecodeResponsePayload(frame->payload));
-  IMPLISTAT_RETURN_NOT_OK(decoded.first);
-  return std::string(decoded.second);
+  return AwaitResponse(RequestDeadlineMs());
 }
 
 StatusOr<std::string> Client::RoundTrip(MsgType type,
@@ -367,23 +341,13 @@ StatusOr<std::string> Client::RoundTrip(MsgType type,
   obs::ScopedSpan span("client.roundtrip", "client");
   span.SetDetail(MsgTypeName(type));
   span.Annotate("request_bytes", payload.size());
-  const int64_t deadline_ms = options_.request_timeout_ms > 0
-                                  ? NowMs() + options_.request_timeout_ms
-                                  : -1;
-  IMPLISTAT_RETURN_NOT_OK(
-      SendAll(EncodeRequestFrame(type, payload, span.context()), deadline_ms));
-  StatusOr<Frame> frame = ReadResponse(type, deadline_ms);
-  if (!frame.ok()) {
-    // Framing/CRC violations leave the stream unparseable; after one, no
-    // later response can be trusted to line up with its request.
-    lost_ = true;
-    return frame.status();
-  }
-  IMPLISTAT_ASSIGN_OR_RETURN(auto decoded,
-                             DecodeResponsePayload(frame->payload));
-  IMPLISTAT_RETURN_NOT_OK(decoded.first);
-  span.Annotate("response_bytes", decoded.second.size());
-  return std::string(decoded.second);
+  // One deadline for the whole exchange: send, wait and receive.
+  const int64_t deadline_ms = RequestDeadlineMs();
+  IMPLISTAT_RETURN_NOT_OK(SubmitFrame(
+      type, EncodeRequestFrame(type, payload, span.context()), deadline_ms));
+  IMPLISTAT_ASSIGN_OR_RETURN(std::string body, AwaitResponse(deadline_ms));
+  span.Annotate("response_bytes", body.size());
+  return body;
 }
 
 Status Client::Ping() { return RoundTrip(MsgType::kPing, {}).status(); }
@@ -448,8 +412,8 @@ Status Client::Shutdown() {
 Status Client::DispatchTriggerPush(const Frame& frame) {
   StatusOr<TriggerFired> fired = DecodeTriggerFired(frame.payload);
   if (!fired.ok()) {
-    return Status::Internal("malformed TRIGGER_FIRED push: " +
-                            fired.status().ToString());
+    return MarkLost(Status::Internal("malformed TRIGGER_FIRED push: " +
+                                     fired.status().ToString()));
   }
   if (on_trigger_) on_trigger_(*fired, frame.trace);
   return Status::OK();
@@ -476,46 +440,22 @@ Status Client::WaitForTrigger(int64_t timeout_ms) {
         "dispatch pushes");
   }
   const int64_t deadline_ms = timeout_ms >= 0 ? NowMs() + timeout_ms : -1;
-  char buf[65536];
-  for (;;) {
-    IMPLISTAT_ASSIGN_OR_RETURN(std::optional<Frame> frame, decoder_->Next());
-    if (frame.has_value()) {
-      if (!frame->is_response() ||
-          frame->type() != MsgType::kTriggerFired) {
-        return MarkLost(Status::Internal(
-            "unexpected frame while waiting for a push: tag " +
-            std::to_string(static_cast<int>(frame->tag))));
-      }
-      Status dispatched = DispatchTriggerPush(*frame);
-      if (!dispatched.ok()) return MarkLost(std::move(dispatched));
-      return Status::OK();
+  StatusOr<Frame> frame = NextFrame(deadline_ms);
+  if (!frame.ok()) {
+    // A timeout here does NOT poison the connection — nothing is in
+    // flight, so the stream is still aligned; the caller may keep
+    // waiting or send requests. Every other failure does.
+    if (frame.status().code() == StatusCode::kDeadlineExceeded) {
+      return frame.status();
     }
-    if (deadline_ms >= 0) {
-      Status ready = PollUntil(fd_, POLLIN, deadline_ms, "wait_for_trigger");
-      if (!ready.ok()) {
-        // A timeout here does NOT poison the connection — nothing is in
-        // flight, so the stream is still aligned; the caller may keep
-        // waiting or issue requests.
-        if (ready.code() == StatusCode::kDeadlineExceeded) return ready;
-        return MarkLost(
-            Status::Unavailable("connection lost: " + ready.ToString()));
-      }
-    }
-    ssize_t n = recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      IMPLISTAT_RETURN_NOT_OK(
-          decoder_->Append(std::string_view(buf, static_cast<size_t>(n))));
-      continue;
-    }
-    if (n == 0) {
-      return MarkLost(
-          Status::Unavailable("connection lost: server closed the "
-                              "connection while subscribed"));
-    }
-    if (errno == EINTR) continue;
-    return MarkLost(Status::Unavailable(std::string("connection lost: recv: ") +
-                                        strerror(errno)));
+    return MarkLost(frame.status());
   }
+  if (!frame->is_response() || frame->type() != MsgType::kTriggerFired) {
+    return MarkLost(Status::Internal(
+        "unexpected frame while waiting for a push: tag " +
+        std::to_string(static_cast<int>(frame->tag))));
+  }
+  return DispatchTriggerPush(*frame);
 }
 
 }  // namespace implistat::net

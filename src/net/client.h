@@ -18,24 +18,29 @@
 //    connection. Reconnect() and retry is safe.
 //  * kDeadlineExceeded — the per-request deadline fired. Also marks the
 //    connection lost (a late response would answer the wrong request).
-//  * anything else from the outer Status — a malformed or out-of-order
-//    response: the peer speaks the protocol wrongly. Reconnecting may
-//    not help; report it rather than hot-loop.
+//  * anything else from the outer Status — a corrupt frame, or a
+//    malformed or out-of-order response: the peer speaks the protocol
+//    wrongly. Reconnecting may not help; report it rather than hot-loop.
 // After any of these, connection_lost() is true and every call returns
 // kUnavailable until Reconnect() succeeds — one Client object serves a
-// peer across arbitrarily many peer restarts.
+// peer across arbitrarily many peer restarts. The one failure that
+// leaves the connection usable is a WaitForTrigger() timeout: nothing
+// was in flight, so the stream is still aligned.
 //
-// Pipelining: Submit() ships a request without waiting; Await() blocks
-// for the oldest outstanding response. Responses arrive in request order
-// (the wire protocol's FIFO contract), so correlation is positional —
-// the client keeps a deque of expected types and matches strictly in
-// order. The in-flight window is bounded by ClientOptions::max_in_flight
-// (keep it at or under the server's max_pipeline_depth, or the server
-// pauses reading and the pipeline degrades to TCP flow control). Submit
-// never deadlocks against a full send buffer: while blocked on POLLOUT
-// it also drains POLLIN into the decode buffer, so the server can always
-// make progress. Mixing styles is refused: RoundTrip() while requests
-// are in flight fails rather than desynchronize.
+// One request path: Submit() ships a request without waiting; Await()
+// blocks for the oldest outstanding response; RoundTrip() is Submit +
+// Await under one deadline. Responses arrive in request order (the wire
+// protocol's FIFO contract), so correlation is positional — the client
+// keeps a deque of expected types and matches strictly in order. The
+// in-flight window is bounded by ClientOptions::max_in_flight (keep it
+// at or under the server's max_pipeline_depth, or the server pauses
+// reading and the pipeline degrades to TCP flow control). Every send
+// (Submit, RoundTrip, SendRaw) goes through one path that never
+// deadlocks against a full send buffer: while blocked on POLLOUT it
+// also drains POLLIN into the decode buffer, so the server can always
+// make progress. Every read (Await, RoundTrip, WaitForTrigger) takes
+// frames from one loop. Mixing styles is refused: RoundTrip() while
+// requests are in flight fails rather than desynchronize.
 //
 // Not thread-safe: one connection, one thread. Open several clients for
 // concurrency — the server multiplexes them.
@@ -69,7 +74,8 @@ struct ClientOptions {
   /// applies separately to each Submit (send) and Await (wait + recv).
   int64_t request_timeout_ms = 0;
   /// Pipelining window: Submit() refuses once this many requests are
-  /// outstanding. Keep at or under the server's max_pipeline_depth.
+  /// outstanding (RoundTrip ignores it). Keep at or under the server's
+  /// max_pipeline_depth.
   size_t max_in_flight = 64;
 };
 
@@ -161,15 +167,17 @@ class Client {
   Status Unsubscribe();
 
   /// Blocks until at least one TRIGGER_FIRED push has been dispatched to
-  /// the callback, or `timeout_ms` elapses (kDeadlineExceeded); negative
-  /// means no timeout. Refuses (kFailedPrecondition) while pipelined
-  /// requests are in flight — their Awaits already dispatch pushes.
+  /// the callback, or `timeout_ms` elapses (kDeadlineExceeded, and the
+  /// connection stays usable); negative means no timeout. Any other
+  /// failure poisons the connection. Refuses (kFailedPrecondition) while
+  /// pipelined requests are in flight — their Awaits already dispatch
+  /// pushes.
   Status WaitForTrigger(int64_t timeout_ms = -1);
 
-  /// Sends one request frame and waits for its response body, checking
-  /// type and embedded status. Building block for the typed calls above.
-  /// Refuses (kFailedPrecondition) while pipelined requests are in
-  /// flight — Await() them first.
+  /// Submit + Await of one request under one deadline, inside a
+  /// client.roundtrip span whose context rides the frame. Building block
+  /// for the typed calls above. Refuses (kFailedPrecondition) while
+  /// pipelined requests are in flight — Await() them first.
   StatusOr<std::string> RoundTrip(MsgType type, std::string_view payload);
 
   // --- pipelined mode ---
@@ -190,8 +198,8 @@ class Client {
   /// Outstanding pipelined requests (submitted, not yet awaited).
   size_t in_flight() const { return pipeline_.size(); }
 
-  /// Writes raw bytes to the socket, bypassing framing — robustness
-  /// tests inject garbage and truncations with this.
+  /// Writes raw bytes to the socket, bypassing framing and deadlines —
+  /// robustness tests inject garbage and truncations with this.
   Status SendRaw(std::string_view bytes);
 
   /// The underlying socket (tests: abrupt disconnects, timeouts).
@@ -203,14 +211,28 @@ class Client {
   /// Marks the connection unusable and passes `status` through.
   Status MarkLost(Status status);
 
-  // `deadline_ms` is an absolute CLOCK_MONOTONIC time; -1 means none.
-  Status SendAll(std::string_view bytes, int64_t deadline_ms);
-  /// SendAll that also drains inbound bytes into the decoder while the
-  /// send buffer is full — the pipelined send path (see header comment).
-  Status SendDraining(std::string_view bytes, int64_t deadline_ms);
+  // Every `deadline_ms` below is an absolute CLOCK_MONOTONIC time; -1
+  // means none.
+  int64_t RequestDeadlineMs() const;
+  /// The one send path: writes all of `bytes`, draining inbound bytes
+  /// into the decoder while the send buffer is full (see header
+  /// comment). Any failure marks the connection lost.
+  Status Send(std::string_view bytes, int64_t deadline_ms);
+  /// The one read path: the next whole frame, from the decoder first,
+  /// then from the socket. Marks nothing lost; callers decide what a
+  /// failure means.
+  StatusOr<Frame> NextFrame(int64_t deadline_ms);
+  /// The next response, which must be of `expected_type`; dispatches
+  /// pushes met on the way. Any failure marks the connection lost.
   StatusOr<Frame> ReadResponse(MsgType expected_type, int64_t deadline_ms);
+  /// Sends an encoded request frame and queues its expected response.
+  Status SubmitFrame(MsgType type, std::string_view frame,
+                     int64_t deadline_ms);
+  /// Reads the oldest queued response and unwraps its embedded status.
+  StatusOr<std::string> AwaitResponse(int64_t deadline_ms);
   /// Decodes a demultiplexed TRIGGER_FIRED frame and runs the callback.
-  /// A malformed push is a protocol violation (connection-fatal).
+  /// A malformed push is a protocol violation and marks the connection
+  /// lost.
   Status DispatchTriggerPush(const Frame& frame);
 
   int fd_ = -1;

@@ -4,27 +4,6 @@
 
 namespace implistat::net {
 
-namespace {
-
-// Every row costs at least one byte per cell on the wire, so a count
-// whose cells exceed the remaining bytes is hostile; checking before the
-// reserve keeps a forged header from ballooning an allocation.
-Status CheckCellCount(uint64_t tuples, uint64_t width,
-                      size_t remaining_bytes) {
-  if (tuples == 0) return Status::OK();
-  if (width == 0) {
-    return Status::InvalidArgument("observe_batch: tuples with zero width");
-  }
-  // Dividing keeps the check overflow-proof for hostile counts.
-  if (tuples > remaining_bytes / width) {
-    return Status::InvalidArgument(
-        "observe_batch: implausible tuple count " + std::to_string(tuples));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 std::string EncodeObserveBatchRequest(const ObserveBatchRequest& request) {
   ByteWriter out;
   out.PutU8(static_cast<uint8_t>(request.encoding));
@@ -38,52 +17,6 @@ std::string EncodeObserveBatchRequest(const ObserveBatchRequest& request) {
     }
   }
   return out.Release();
-}
-
-StatusOr<ObserveBatchRequest> DecodeObserveBatchRequest(
-    std::string_view payload) {
-  ByteReader in(payload);
-  uint8_t encoding;
-  IMPLISTAT_RETURN_NOT_OK(in.ReadU8(&encoding));
-  if (encoding > static_cast<uint8_t>(ObserveEncoding::kValues)) {
-    return Status::InvalidArgument("observe_batch: unknown tuple encoding " +
-                                   std::to_string(encoding));
-  }
-  uint64_t width;
-  IMPLISTAT_RETURN_NOT_OK(in.ReadVarint64(&width));
-  if (width > 4096) {
-    return Status::InvalidArgument("observe_batch: implausible width " +
-                                   std::to_string(width));
-  }
-  uint64_t tuples;
-  IMPLISTAT_RETURN_NOT_OK(in.ReadVarint64(&tuples));
-  IMPLISTAT_RETURN_NOT_OK(CheckCellCount(tuples, width, in.remaining()));
-  ObserveBatchRequest request;
-  request.encoding = static_cast<ObserveEncoding>(encoding);
-  request.width = static_cast<uint32_t>(width);
-  const size_t cells = static_cast<size_t>(tuples * width);
-  if (request.encoding == ObserveEncoding::kIds) {
-    request.ids.reserve(cells);
-    for (size_t i = 0; i < cells; ++i) {
-      uint64_t id;
-      IMPLISTAT_RETURN_NOT_OK(in.ReadVarint64(&id));
-      if (id > std::numeric_limits<ValueId>::max()) {
-        return Status::InvalidArgument("observe_batch: value id overflow");
-      }
-      request.ids.push_back(static_cast<ValueId>(id));
-    }
-  } else {
-    request.values.reserve(cells);
-    for (size_t i = 0; i < cells; ++i) {
-      std::string_view value;
-      IMPLISTAT_RETURN_NOT_OK(in.ReadLengthPrefixed(&value));
-      request.values.emplace_back(value);
-    }
-  }
-  if (in.remaining() != 0) {
-    return Status::InvalidArgument("observe_batch: trailing bytes");
-  }
-  return request;
 }
 
 std::string EncodeObserveBatchResponse(uint64_t tuples_seen) {

@@ -47,9 +47,8 @@ struct ObserveBatchRequest {
   }
 };
 
+/// The server decodes with DecodeObserveBatchInto (net/batch_decode.h).
 std::string EncodeObserveBatchRequest(const ObserveBatchRequest& request);
-StatusOr<ObserveBatchRequest> DecodeObserveBatchRequest(
-    std::string_view payload);
 
 /// Response body: varint tuples_seen (the server's total after the batch).
 std::string EncodeObserveBatchResponse(uint64_t tuples_seen);

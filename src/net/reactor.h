@@ -249,7 +249,6 @@ class Reactor {
   /// Flushes pending_ops_ to the writer (one lock, one wakeup).
   void ShipOps();
   void ReapIfDead(uint64_t id);
-  void DropConnection(Conn* conn, const char* reason);
   void SweepIdle(int64_t now_ms);
   int EpollTimeoutMs(int64_t now_ms, bool exiting) const;
 

@@ -340,13 +340,6 @@ StatusOr<std::string> QueryEngine::InstallTrigger(std::string_view statement) {
   return triggers_->Install(statement, tuples_);
 }
 
-Status QueryEngine::RemoveTrigger(std::string_view name) {
-  if (triggers_ == nullptr) {
-    return Status::NotFound("no trigger named '" + std::string(name) + "'");
-  }
-  return triggers_->Remove(name);
-}
-
 std::vector<cql::TriggerFiring> QueryEngine::TakeTriggerFirings() {
   if (triggers_ == nullptr) return {};
   return triggers_->TakeFirings();
@@ -427,17 +420,6 @@ Status QueryEngine::MergeEstimatorState(QueryId id,
   // MergeFrom leaves the target untouched on failure (estimator
   // contract), so a bad snapshot never half-mutates the live synopsis.
   return entry.estimator->MergeFrom(*twin);
-}
-
-Status QueryEngine::RefoldEstimatorState(
-    QueryId id, const std::vector<std::string_view>& snapshots) {
-  IMPLISTAT_RETURN_NOT_OK(CheckQueryId(id));
-  const RegisteredQuery& query = queries_[id];
-  if (query.binding == QueryBinding::kDerived) {
-    return Status::FailedPrecondition(
-        "derived queries own no synopsis to refold");
-  }
-  return RefoldSynopsisState(query.synopsis, snapshots);
 }
 
 Status QueryEngine::RefoldSynopsisState(

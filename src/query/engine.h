@@ -135,11 +135,6 @@ class QueryEngine {
   /// (which own no synopsis) refuse with FailedPrecondition.
   Status MergeEstimatorState(QueryId id, std::string_view snapshot);
 
-  /// Replace-then-refold on query `id`'s synopsis — see
-  /// RefoldSynopsisState. Derived queries refuse.
-  Status RefoldEstimatorState(QueryId id,
-                              const std::vector<std::string_view>& snapshots);
-
   /// Replace-then-refold: rebuilds the synopsis's estimator from scratch
   /// and folds every snapshot in `snapshots` into the fresh instance,
   /// then swaps it in. Unlike MergeEstimatorState (which accumulates),
@@ -193,8 +188,6 @@ class QueryEngine {
 
   /// Compiles and arms one CREATE TRIGGER statement; returns its name.
   StatusOr<std::string> InstallTrigger(std::string_view statement);
-
-  Status RemoveTrigger(std::string_view name);
 
   /// The armed trigger engine, or null when none was ever installed.
   cql::TriggerEngine* triggers() { return triggers_.get(); }

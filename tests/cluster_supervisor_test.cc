@@ -21,6 +21,7 @@
 #include "cluster/supervisor.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "query/engine.h"
 #include "util/random.h"
 
@@ -609,30 +610,56 @@ TEST(ClusterDeltaTest, EdgeRestartForcesResyncThenDeltasResume) {
   std::remove(ckpt.c_str());
 }
 
-TEST(ClusterDeltaTest, FullPullModesNeverShipDeltas) {
+// Every pull is a SNAPSHOT_DELTA: a kind without deltas (the exact unit)
+// names since_epoch 0 and is answered in full every round, so no round
+// ever sends a plain SNAPSHOT.
+TEST(ClusterDeltaTest, KindsWithoutDeltasShipFullEveryRound) {
   Edge edge;
   RegisterSuite(edge.engine());
   FeedLocal(edge.engine(), 0, 500);
   edge.Start();
-
   QueryEngine single(TestSchema());
   RegisterSuite(single);
   FeedLocal(single, 0, 500);
 
-  // use_deltas off (--no-deltas): full snapshots every round.
+  // The request counter is process-wide; compare it before and after.
+  obs::Counter* snapshot_requests = obs::MetricsRegistry::Global().GetCounter(
+      "implistat_net_requests_total", "Requests handled, by type", "type",
+      "snapshot");
+  const uint64_t snapshots_before = snapshot_requests->Value();
+
   QueryEngine aggregate(TestSchema());
   RegisterSuite(aggregate);
-  SupervisorOptions options = TestOptions();
-  options.use_deltas = false;
-  AggregatorSupervisor supervisor(&aggregate, {edge.Config("edge")}, options);
+  AggregatorSupervisor supervisor(&aggregate, {edge.Config("edge")},
+                                  TestOptions());
   ASSERT_TRUE(supervisor.Init().ok());
-  PollStats first = supervisor.PollOnce(0);
-  EXPECT_EQ(first.delta_pulls, 0);
-  EXPECT_EQ(first.full_pulls, 2);
-  PollStats second = supervisor.PollOnce(1000);
-  EXPECT_EQ(second.delta_pulls, 0);
-  EXPECT_EQ(second.full_pulls, 2);
+  PollStats bootstrap = supervisor.PollOnce(0);
+  EXPECT_EQ(bootstrap.delta_pulls, 0);
+  EXPECT_EQ(bootstrap.full_pulls, 2);  // exact + nips fold units
+  EXPECT_EQ(bootstrap.resyncs, 0);
   ExpectSameAnswers(aggregate, single);
+
+  // Each round after an ingest patches the NIPS/CI twin and re-ships the
+  // exact unit in full; neither counts as a resync.
+  for (uint64_t round = 1; round <= 2; ++round) {
+    const uint64_t begin = 500 + (round - 1) * 200;
+    {
+      auto client = edge.Connect();
+      ASSERT_TRUE(client.ok());
+      ASSERT_TRUE(client->ObserveBatch(IdBatch(begin, begin + 200)).ok());
+    }
+    PollStats stats = supervisor.PollOnce(static_cast<int64_t>(round) * 1000);
+    EXPECT_TRUE(stats.refolded);
+    EXPECT_EQ(stats.delta_pulls, 1);
+    EXPECT_EQ(stats.full_pulls, 1);
+    EXPECT_EQ(stats.resyncs, 0);
+    FeedLocal(single, begin, begin + 200);
+    ExpectSameAnswers(aggregate, single);
+  }
+
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(snapshot_requests->Value(), snapshots_before);
+  }
 }
 
 // The fold merges the live twins directly; it must produce the very bytes

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "net/batch_decode.h"
 #include "net/messages.h"
 #include "net/wire.h"
 #include "util/envelope.h"
@@ -291,35 +292,52 @@ TEST(ResponsePayloadTest, UnknownStatusCodeRejected) {
 // Message payload codecs under hostile input.
 // ---------------------------------------------------------------------------
 
+// OBSERVE_BATCH as the server decodes it: EncodeObserveBatchRequest on
+// the client side, DecodeObserveBatchInto into a flat id buffer.
 TEST(MessageCodecTest, ObserveBatchRoundTripsBothEncodings) {
+  const Schema ids_schema({{"Source", 97}, {"Destination", 47}, {"Hour", 24}});
   ObserveBatchRequest ids;
   ids.encoding = ObserveEncoding::kIds;
   ids.width = 3;
   ids.ids = {1, 2, 3, 4, 5, 6};
-  auto decoded = DecodeObserveBatchRequest(EncodeObserveBatchRequest(ids));
+  std::vector<ValueId> flat = {9};  // decoded rows append after these
+  auto decoded = DecodeObserveBatchInto(EncodeObserveBatchRequest(ids),
+                                        ids_schema, {}, &flat);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->ids, ids.ids);
-  EXPECT_EQ(decoded->num_tuples(), 2u);
+  EXPECT_EQ(*decoded, 2u);
+  EXPECT_EQ(flat, (std::vector<ValueId>{9, 1, 2, 3, 4, 5, 6}));
 
+  // Value rows resolve through the server's dictionaries, one per column.
+  std::vector<ValueDictionary> dicts(2);
+  dicts[0].GetOrAdd("alpha");
+  dicts[0].GetOrAdd("gamma");
+  dicts[1].GetOrAdd("");
+  dicts[1].GetOrAdd("beta");
+  const Schema values_schema({{"Left", 0}, {"Right", 0}});
   ObserveBatchRequest values;
   values.encoding = ObserveEncoding::kValues;
   values.width = 2;
   values.values = {"alpha", "beta", "gamma", ""};
-  auto decoded_values =
-      DecodeObserveBatchRequest(EncodeObserveBatchRequest(values));
-  ASSERT_TRUE(decoded_values.ok());
-  EXPECT_EQ(decoded_values->values, values.values);
+  flat.clear();
+  auto decoded_values = DecodeObserveBatchInto(
+      EncodeObserveBatchRequest(values), values_schema, dicts, &flat);
+  ASSERT_TRUE(decoded_values.ok()) << decoded_values.status();
+  EXPECT_EQ(*decoded_values, 2u);
+  EXPECT_EQ(flat, (std::vector<ValueId>{0, 1, 1, 0}));
 }
 
 TEST(MessageCodecTest, HostileTupleCountRejectedBeforeAllocation) {
-  // Forge a header declaring 2^50 tuples of width 4096 with a tiny body.
+  // Forge a header declaring 2^50 tuples of width 4 with a tiny body.
+  const Schema schema({{"A", 0}, {"B", 0}, {"C", 0}, {"D", 0}});
   ByteWriter out;
   out.PutU8(0);  // kIds
-  out.PutVarint64(4096);
+  out.PutVarint64(4);
   out.PutVarint64(uint64_t{1} << 50);
   out.PutVarint64(7);
-  auto decoded = DecodeObserveBatchRequest(out.Release());
+  std::vector<ValueId> flat = {1, 2, 3};
+  auto decoded = DecodeObserveBatchInto(out.Release(), schema, {}, &flat);
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(flat, (std::vector<ValueId>{1, 2, 3}));
 }
 
 TEST(MessageCodecTest, QueryResponseRoundTrips) {
@@ -436,14 +454,36 @@ TEST(FrameDecoderTest, ShrinkPreservesPartialNextFrame) {
 }
 
 TEST(MessageCodecTest, CodecFuzzNeverCrashes) {
+  const Schema schema({{"Source", 97}, {"Destination", 47}, {"Hour", 24}});
+  std::vector<ValueDictionary> dicts(3);
+  for (ValueDictionary& dict : dicts) {
+    for (const char* value : {"", "a", "b"}) dict.GetOrAdd(value);
+  }
+  const std::vector<ValueId> prior = {5, 6, 7};
   Rng rng(73);
   for (int iter = 0; iter < 2000; ++iter) {
     std::string bytes;
+    if (iter % 2 == 0) {
+      // Half the payloads open with a header the batch decoder accepts,
+      // so the random bytes reach its cell loop.
+      ByteWriter header;
+      header.PutU8(static_cast<uint8_t>(rng.Uniform(2)));
+      header.PutVarint64(3);
+      header.PutVarint64(rng.Uniform(8));
+      bytes = header.Release();
+    }
     size_t len = rng.Uniform(120);
     for (size_t i = 0; i < len; ++i) {
       bytes.push_back(static_cast<char>(rng.Next64() & 0xff));
     }
-    (void)DecodeObserveBatchRequest(bytes);
+    // All or nothing: a refused batch leaves the buffer as it was.
+    std::vector<ValueId> flat = prior;
+    auto tuples = DecodeObserveBatchInto(bytes, schema, dicts, &flat);
+    if (tuples.ok()) {
+      EXPECT_EQ(flat.size(), prior.size() + 3 * *tuples);
+    } else {
+      EXPECT_EQ(flat, prior) << tuples.status();
+    }
     (void)DecodeQueryRequest(bytes);
     (void)DecodeQueryResponse(bytes);
     (void)DecodeSnapshotRequest(bytes);

@@ -1,9 +1,10 @@
 // Client deadline and reconnection tests: bounded connect against a peer
 // that never completes the handshake, per-request deadlines against an
-// accepted-but-silent socket, CONNECTION_LOST classification after the
-// server goes away, and Reconnect() resuming against a restarted server
-// on the same port. These are the failure paths the aggregation tier's
-// retry logic is keyed on.
+// accepted-but-silent socket, a corrupt frame poisoning the connection
+// while a subscriber waits for pushes, CONNECTION_LOST classification
+// after the server goes away, and Reconnect() resuming against a
+// restarted server on the same port. These are the failure paths the
+// aggregation tier's retry logic is keyed on.
 
 #include <gtest/gtest.h>
 
@@ -64,11 +65,13 @@ class SilentListener {
 
   uint16_t port() const { return port_; }
 
-  // Accepts one pending connection and keeps it open, silent.
-  void AcceptOne() {
+  // Accepts one pending connection and keeps it open, silent; returns
+  // its descriptor so a test can speak raw bytes on it.
+  int AcceptOne() {
     int fd = ::accept(fd_, nullptr, nullptr);
     ASSERT_OK(fd >= 0);
     accepted_.push_back(fd);
+    return fd;
   }
 
   // Fires non-blocking connects to fill the accept backlog so that the
@@ -157,6 +160,41 @@ TEST(NetTimeoutTest, RequestDeadlineFiresOnSilentServer) {
   // and further requests refuse immediately.
   EXPECT_TRUE(client->connection_lost());
   EXPECT_EQ(client->Ping().code(), StatusCode::kUnavailable);
+}
+
+// WaitForTrigger timing out leaves the stream aligned (nothing was in
+// flight), so the connection stays usable. A corrupt frame while waiting
+// leaves it unparseable, so it must poison the connection exactly like a
+// corrupt response does: the next request refuses without writing a
+// byte. (A server would otherwise apply a request whose caller has
+// already seen it fail.)
+TEST(NetTimeoutTest, WaitForTriggerPoisonsOnCorruptFrameNotOnTimeout) {
+  SilentListener listener(/*backlog=*/4);
+  ClientOptions options;
+  options.connect_timeout_ms = 1000;
+  options.request_timeout_ms = 1000;
+  auto client = Client::Connect("127.0.0.1", listener.port(), options);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const int peer = listener.AcceptOne();
+
+  EXPECT_EQ(client->WaitForTrigger(50).code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(client->connection_lost());
+
+  // A plausible length prefix (12) followed by bytes that are no frame.
+  const char garbage[16] = {12, 0, 0, 0, 'n', 'o', 't', ' ',
+                            'a', ' ', 'f', 'r', 'a', 'm', 'e', '!'};
+  ASSERT_EQ(::send(peer, garbage, sizeof(garbage), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(garbage)));
+  Status waited = client->WaitForTrigger(2000);
+  EXPECT_FALSE(waited.ok());
+  EXPECT_NE(waited.code(), StatusCode::kDeadlineExceeded) << waited;
+  EXPECT_TRUE(client->connection_lost());
+
+  EXPECT_EQ(client->Ping().code(), StatusCode::kUnavailable);
+  char buf[64];
+  EXPECT_EQ(::recv(peer, buf, sizeof(buf), MSG_DONTWAIT), -1)
+      << "the poisoned client still wrote a request";
 }
 
 TEST(NetTimeoutTest, ServerGoneIsConnectionLostAndReconnectResumes) {

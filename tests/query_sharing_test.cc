@@ -186,8 +186,6 @@ TEST_F(SharingTest, UnknownIdsAnswerNotFound) {
   for (QueryId id : {-1, 0, 7}) {
     EXPECT_EQ(engine.Answer(id).status().code(), StatusCode::kNotFound);
     EXPECT_EQ(engine.Deregister(id).code(), StatusCode::kNotFound);
-    EXPECT_EQ(engine.RefoldEstimatorState(id, {}).code(),
-              StatusCode::kNotFound);
   }
 }
 
@@ -352,8 +350,6 @@ TEST_F(SharingTest, DerivedQueriesRefuseSnapshotFolds) {
   // A derived query owns no synopsis; folding remote state through it
   // would corrupt a source it merely references.
   EXPECT_EQ(engine.MergeEstimatorState(*q, "").code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.RefoldEstimatorState(*q, {}).code(),
             StatusCode::kFailedPrecondition);
 }
 

@@ -1,6 +1,7 @@
 #include "core/ci.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "sketch/fm_sketch.h"
 #include "util/logging.h"
@@ -18,70 +19,74 @@ CiEstimate Finish(double supported, double non_impl) {
   return est;
 }
 
-}  // namespace
+struct RankSums {
+  uint64_t support = 0;
+  uint64_t non_implication = 0;
+};
 
-namespace {
+RankSums SumRanks(std::span<const Nips> bitmaps) {
+  RankSums sums;
+  for (const Nips& nips : bitmaps) {
+    sums.support += static_cast<uint64_t>(nips.RSupport());
+    sums.non_implication += static_cast<uint64_t>(nips.RNonImplication());
+  }
+  return sums;
+}
+
+}  // namespace
 
 // Calibrated readout: invert the Poissonized expectation E[R̄](ν) (see
 // sketch/fm_sketch.h). The classic asymptotic m/φ·2^R̄ formula carries
 // load-dependent quantization bias at small per-bitmap loads, and the
 // subtractive CI estimator would amplify the mismatch between its two
 // terms' biases; the calibrated inverse is accurate across the range.
-double FmReadout(double mean_rank, double num_bitmaps) {
-  return num_bitmaps * FmInvertMeanRank(mean_rank);
-}
-
-}  // namespace
-
+// Ranks are integers, so every readout is an integral rank sum over m
+// (or m − 1 for a replicate): FmEnsembleReadout serves those from a
+// shared table.
 CiEstimate CiFromBitmap(const Nips& nips) {
-  double supported = FmReadout(nips.RSupport(), 1.0);
-  double non_impl = FmReadout(nips.RNonImplication(), 1.0);
-  return Finish(supported, non_impl);
+  return CiFromEnsemble(std::span<const Nips>(&nips, 1));
 }
 
 CiEstimate CiFromEnsemble(std::span<const Nips> bitmaps) {
   IMPLISTAT_CHECK(!bitmaps.empty());
-  double sum_r_sup = 0;
-  double sum_r_non = 0;
-  for (const Nips& nips : bitmaps) {
-    sum_r_sup += nips.RSupport();
-    sum_r_non += nips.RNonImplication();
-  }
+  const RankSums sums = SumRanks(bitmaps);
+  const FmEnsembleReadout readout(bitmaps.size());
   const double m = static_cast<double>(bitmaps.size());
-  double supported = FmReadout(sum_r_sup / m, m);
-  double non_impl = FmReadout(sum_r_non / m, m);
-  return Finish(supported, non_impl);
+  return Finish(m * readout.Mean(sums.support),
+                m * readout.Mean(sums.non_implication));
 }
 
 CiEstimate CiEnsembleStdError(std::span<const Nips> bitmaps) {
   CiEstimate se;  // zero-initialized fields double as the m < 2 answer
   const size_t m = bitmaps.size();
   if (m < 2) return se;
-  double sum_r_sup = 0;
-  double sum_r_non = 0;
-  for (const Nips& nips : bitmaps) {
-    sum_r_sup += nips.RSupport();
-    sum_r_non += nips.RNonImplication();
-  }
-  // Leave-one-out readouts, each rescaled from the (m−1)/m key share the
-  // reduced ensemble saw back to the full stream.
-  std::vector<CiEstimate> loo(m);
-  CiEstimate mean;
+  const RankSums sums = SumRanks(bitmaps);
+  const FmEnsembleReadout readout(m);
   const double dm = static_cast<double>(m);
-  for (size_t i = 0; i < m; ++i) {
-    const double mean_sup = (sum_r_sup - bitmaps[i].RSupport()) / (dm - 1);
-    const double mean_non =
-        (sum_r_non - bitmaps[i].RNonImplication()) / (dm - 1);
-    loo[i].supported_distinct = dm * FmInvertMeanRank(mean_sup);
-    loo[i].non_implication = dm * FmInvertMeanRank(mean_non);
-    loo[i].implication =
-        std::max(0.0, loo[i].supported_distinct - loo[i].non_implication);
-    mean.supported_distinct += loo[i].supported_distinct / dm;
-    mean.non_implication += loo[i].non_implication / dm;
-    mean.implication += loo[i].implication / dm;
+  // The readout without bitmap i, rescaled from the (m−1)/m key share
+  // the reduced ensemble saw back to the full stream. Its implication
+  // term is the plain difference: R_F0sup >= R_~S in every bitmap, so no
+  // replicate falls below 0 and none needs the estimate's clamp.
+  auto replicate = [&](const Nips& left_out) {
+    CiEstimate est;
+    est.supported_distinct = dm * readout.LeaveOneOut(
+        sums.support - static_cast<uint64_t>(left_out.RSupport()));
+    est.non_implication = dm * readout.LeaveOneOut(
+        sums.non_implication -
+        static_cast<uint64_t>(left_out.RNonImplication()));
+    est.implication = est.supported_distinct - est.non_implication;
+    return est;
+  };
+  CiEstimate mean;
+  for (const Nips& nips : bitmaps) {
+    const CiEstimate est = replicate(nips);
+    mean.supported_distinct += est.supported_distinct / dm;
+    mean.non_implication += est.non_implication / dm;
+    mean.implication += est.implication / dm;
   }
   double var_sup = 0, var_non = 0, var_impl = 0;
-  for (const CiEstimate& est : loo) {
+  for (const Nips& nips : bitmaps) {
+    const CiEstimate est = replicate(nips);
     var_sup += (est.supported_distinct - mean.supported_distinct) *
                (est.supported_distinct - mean.supported_distinct);
     var_non += (est.non_implication - mean.non_implication) *

@@ -9,8 +9,9 @@
 // prints the uncorrected 2^R difference; applying φ to both terms — as the
 // paper's reliance on [14]'s estimator implies — keeps the difference
 // unbiased, and RawEstimate() preserves the literal form for comparison.)
-// For an ensemble of m bitmaps the standard stochastic-averaging form
-// m·2^mean(R)/φ is used for each term.
+// For an ensemble of m bitmaps each term is m times the calibrated
+// per-bitmap load whose expected rank is the mean rank (FmInvertMeanRank,
+// read from a per-m table; see sketch/fm_sketch.h).
 
 #ifndef IMPLISTAT_CORE_CI_H_
 #define IMPLISTAT_CORE_CI_H_
@@ -37,8 +38,10 @@ CiEstimate CiFromEnsemble(std::span<const Nips> bitmaps);
 /// readout: each field holds the 1σ error bar of the corresponding
 /// CiFromEnsemble estimate. Stochastic averaging routes ~1/m of the keys
 /// to each bitmap, so every leave-one-out readout is rescaled by m/(m−1)
-/// before the usual jackknife variance. All-zero for m < 2 (a single
-/// bitmap carries no dispersion information).
+/// before the usual jackknife variance; the implication replicates are
+/// the plain differences F̂0_sup − ~Ŝ. All-zero for m < 2 (a single
+/// bitmap carries no dispersion information). Allocates nothing beyond
+/// the shared readout table, built once per m (sketch/fm_sketch.h).
 CiEstimate CiEnsembleStdError(std::span<const Nips> bitmaps);
 
 /// The literal Algorithm 2 return value, 2^R_F0sup − 2^R_~S, without the φ

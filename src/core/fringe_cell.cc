@@ -72,9 +72,12 @@ void FlushDirtyExclusionMetrics() {
 
 FringeCell::Outcome FringeCell::Observe(ItemsetKey a, ItemsetKey b,
                                         const ImplicationConditions& cond) {
-  ItemsetState& state = items_[a];
+  auto [it, inserted] = items_.try_emplace(a);
+  ItemsetState& state = it->second;
+  const size_t state_before = inserted ? 0 : state.MemoryBytes();
   bool was_dirty = state.dirty();
   bool dirty = state.Observe(b, cond);
+  state_bytes_ += state.MemoryBytes() - state_before;
   if (state.supported(cond)) has_supported_ = true;
   if (dirty && !was_dirty) {
     IMPLISTAT_IF_METRICS(CountDirtyExclusion(state.dirty_reason()));
@@ -87,12 +90,16 @@ FringeCell::Outcome FringeCell::Merge(const FringeCell& other,
   Outcome outcome = Outcome::kUndecided;
   for (const auto& [key, other_state] : other.items_) {
     auto [it, inserted] = items_.try_emplace(key, other_state);
-    if (!inserted) {
+    if (inserted) {
+      state_bytes_ += it->second.MemoryBytes();
+    } else {
       // Count only exclusions the merge itself discovers; a dirty state
       // arriving from the other side was already counted where it turned
       // dirty (or predates this process — see DirtyReason).
+      const size_t state_before = it->second.MemoryBytes();
       bool was_dirty = it->second.dirty();
       it->second.Merge(other_state, cond);
+      state_bytes_ += it->second.MemoryBytes() - state_before;
       if (!was_dirty && it->second.dirty()) {
         IMPLISTAT_IF_METRICS(CountDirtyExclusion(it->second.dirty_reason()));
       }
@@ -123,7 +130,9 @@ void FringeCell::SerializeTo(ByteWriter* out) const {
 
 StatusOr<FringeCell> FringeCell::Deserialize(ByteReader* in) {
   FringeCell cell;
-  IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&cell.has_supported_));
+  bool has_supported;
+  IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&has_supported));
+  cell.has_supported_ = has_supported;
   uint64_t items;
   IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&items));
   if (items > (uint64_t{1} << 28)) {
@@ -134,7 +143,8 @@ StatusOr<FringeCell> FringeCell::Deserialize(ByteReader* in) {
     IMPLISTAT_RETURN_NOT_OK(in->ReadU64(&key));
     IMPLISTAT_ASSIGN_OR_RETURN(ItemsetState state,
                                ItemsetState::Deserialize(in));
-    cell.items_.emplace(key, std::move(state));
+    auto [it, inserted] = cell.items_.emplace(key, std::move(state));
+    if (inserted) cell.state_bytes_ += it->second.MemoryBytes();
   }
   return cell;
 }
@@ -196,13 +206,16 @@ size_t FringeCell::NewKeys(const ItemPatch& patch) const {
 size_t FringeCell::ApplyItemPatch(ItemPatch&& patch) {
   const size_t before = items_.size();
   for (auto& [key, state] : patch.items) {
-    items_.insert_or_assign(key, std::move(state));
+    auto [it, inserted] = items_.try_emplace(key);
+    const size_t state_before = inserted ? 0 : it->second.MemoryBytes();
+    it->second = std::move(state);
+    state_bytes_ += it->second.MemoryBytes() - state_before;
   }
   has_supported_ = patch.has_supported;
   return items_.size() - before;
 }
 
-size_t FringeCell::MemoryBytes() const {
+size_t FringeCell::RecountMemoryBytes() const {
   // The map's bucket array is real heap the fringe budget must answer for
   // (§4.6 is a memory claim); it used to be omitted, undercounting every
   // populated cell by bucket_count * sizeof(pointer).

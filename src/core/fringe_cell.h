@@ -31,6 +31,14 @@ class FringeCell {
     kNonImplication,   // `a` just became dirty: the cell's value is 1
   };
 
+  FringeCell() = default;
+  // Move-only: a copied map copies each itemset's pair vector without its
+  // spare capacity, so the copy's running byte count would overstate it.
+  FringeCell(const FringeCell&) = delete;
+  FringeCell& operator=(const FringeCell&) = delete;
+  FringeCell(FringeCell&&) = default;
+  FringeCell& operator=(FringeCell&&) = default;
+
   /// Records one (a, b) occurrence.
   Outcome Observe(ItemsetKey a, ItemsetKey b,
                   const ImplicationConditions& cond);
@@ -48,7 +56,19 @@ class FringeCell {
   /// known non-implication, i.e. the merged cell's value must become 1.
   Outcome Merge(const FringeCell& other, const ImplicationConditions& cond);
 
-  size_t MemoryBytes() const;
+  /// Heap and object bytes this cell holds, in O(1): the node and bucket
+  /// terms are read off the maps, and the one term they cannot give —
+  /// the itemset states' own bytes — is kept up to date by every
+  /// mutation. Always equals RecountMemoryBytes().
+  size_t MemoryBytes() const {
+    return sizeof(*this) +
+           (items_.bucket_count() + stamps_.bucket_count()) * sizeof(void*) +
+           items_.size() * kItemNodeOverhead +
+           stamps_.size() * kStampNodeBytes + state_bytes_;
+  }
+
+  /// The same figure by walking every tracked itemset; for tests.
+  size_t RecountMemoryBytes() const;
 
   void SerializeTo(ByteWriter* out) const;
   static StatusOr<FringeCell> Deserialize(ByteReader* in);
@@ -93,12 +113,23 @@ class FringeCell {
   size_t ApplyItemPatch(ItemPatch&& patch);
 
  private:
+  // Hash-table node bytes per entry beyond the mapped state (the key and
+  // two pointers of node overhead, approximately), and per stamp.
+  static constexpr size_t kItemNodeOverhead =
+      sizeof(ItemsetKey) + 2 * sizeof(void*);
+  static constexpr size_t kStampNodeBytes =
+      sizeof(ItemsetKey) + sizeof(uint64_t) + 2 * sizeof(void*);
+
   std::unordered_map<ItemsetKey, ItemsetState> items_;
   // Last change stamp per itemset touched since the owning bitmap enabled
   // delta tracking; empty (and never populated) otherwise. Always a
   // subset of items_' keys, so the fringe budget bounds it too.
   std::unordered_map<ItemsetKey, uint64_t> stamps_;
-  bool has_supported_ = false;
+  // The flag and Σ ItemsetState::MemoryBytes() over items_ share one
+  // word, so the running count costs the cell no bytes (sizeof is what
+  // the flag alone made it) and cannot overflow.
+  uint64_t has_supported_ : 1 = 0;
+  uint64_t state_bytes_ : 63 = 0;
 };
 
 }  // namespace implistat

@@ -128,6 +128,7 @@ void Nips::ObserveAt(int cell, ItemsetKey a, ItemsetKey b) {
   Cell& c = cells_[cell];
   if (c.one) return;  // recorded events are never erased
 
+  const size_t bytes_before = c.data ? c.data->MemoryBytes() : 0;
   if (!c.data) c.data = std::make_unique<FringeCell>();
   size_t before = c.data->num_itemsets();
   FringeCell::Outcome outcome = c.data->Observe(a, b, conditions_);
@@ -142,6 +143,7 @@ void Nips::ObserveAt(int cell, ItemsetKey a, ItemsetKey b) {
     c.stamp = clock_;
     c.data->NoteStamp(a, clock_);
   }
+  fringe_bytes_ += c.data->MemoryBytes() - bytes_before;
 
   if (outcome == FringeCell::Outcome::kNonImplication) {
     DecideOne(cell, SettleCause::kNonImplication);
@@ -195,12 +197,14 @@ Status Nips::Merge(const Nips& other) {
     const Cell& theirs = other.cells_[i];
     if (theirs.has_supported) mine.has_supported = true;
     if (theirs.data == nullptr) continue;
+    const size_t bytes_before = mine.data ? mine.data->MemoryBytes() : 0;
     if (mine.data == nullptr) mine.data = std::make_unique<FringeCell>();
     size_t before = mine.data->num_itemsets();
     FringeCell::Outcome outcome =
         mine.data->Merge(*theirs.data, conditions_);
     size_t after = mine.data->num_itemsets();
     tracked_ += after - before;
+    fringe_bytes_ += mine.data->MemoryBytes() - bytes_before;
     if (mine.data->has_supported()) mine.has_supported = true;
     if (outcome == FringeCell::Outcome::kNonImplication) {
       DecideOne(i, SettleCause::kNonImplication);
@@ -262,6 +266,7 @@ StatusOr<Nips> Nips::Deserialize(ByteReader* in) {
       // tracked_ (see FlushMetrics).
       nips.tracked_ += fringe.num_itemsets();
       cell.data = std::make_unique<FringeCell>(std::move(fringe));
+      nips.fringe_bytes_ += cell.data->MemoryBytes();
     }
   }
   return nips;
@@ -269,9 +274,13 @@ StatusOr<Nips> Nips::Deserialize(ByteReader* in) {
 
 size_t Nips::MemoryBytes() const {
   FlushMetrics();
+  return sizeof(*this) + cells_.size() * sizeof(Cell) + fringe_bytes_;
+}
+
+size_t Nips::RecountMemoryBytes() const {
   size_t bytes = sizeof(*this) + cells_.size() * sizeof(Cell);
   for (const Cell& c : cells_) {
-    if (c.data) bytes += c.data->MemoryBytes();
+    if (c.data) bytes += c.data->RecountMemoryBytes();
   }
   return bytes;
 }
@@ -382,8 +391,10 @@ void Nips::ApplyDeltaPatch(DeltaPatch&& patch) {
       c.has_supported = cell.cell_has_supported;
     } else {
       c.has_supported = cell.cell_has_supported;
+      const size_t bytes_before = c.data ? c.data->MemoryBytes() : 0;
       if (!c.data) c.data = std::make_unique<FringeCell>();
       tracked_ += c.data->ApplyItemPatch(std::move(cell.items));
+      fringe_bytes_ += c.data->MemoryBytes() - bytes_before;
     }
   }
   fringe_left_ = patch.fringe_left;
@@ -399,6 +410,7 @@ void Nips::DecideOne(int cell, SettleCause cause) {
   if (c.data) {
     size_t freed = c.data->num_itemsets();
     tracked_ -= freed;
+    fringe_bytes_ -= c.data->MemoryBytes();
     IMPLISTAT_IF_METRICS(
         (cause == SettleCause::kBudget ? totals_.evictions
                                        : totals_.promotions) += freed);

@@ -111,7 +111,12 @@ class Nips {
   /// rule (see ItemsetState::Merge).
   Status Merge(const Nips& other);
 
+  /// O(1): the fringe cells' bytes are kept as a running sum. Always
+  /// equals RecountMemoryBytes().
   size_t MemoryBytes() const;
+
+  /// The same figure by walking every fringe cell; for tests.
+  size_t RecountMemoryBytes() const;
 
   void SerializeTo(ByteWriter* out) const;
   static StatusOr<Nips> Deserialize(ByteReader* in);
@@ -211,14 +216,17 @@ class Nips {
 
   ImplicationConditions conditions_;
   NipsOptions options_;
+  // Sits in options_' tail padding, leaving room below for fringe_bytes_
+  // at no cost to sizeof(Nips).
+  bool delta_tracking_ = false;
   std::vector<Cell> cells_;
   EventTotals totals_;
   mutable EventTotals reported_;
   mutable uint64_t insertions_reported_ = 0;
   size_t tracked_ = 0;
+  size_t fringe_bytes_ = 0;  // Σ MemoryBytes() of the live fringe cells
   int fringe_left_ = 0;    // leftmost undecided cell (Zone-1 ends here)
   int fringe_right_ = -1;  // rightmost hashed cell; -1 before any input
-  bool delta_tracking_ = false;
   uint64_t clock_ = 0;     // mutation counter; see EnableDeltaTracking
 };
 

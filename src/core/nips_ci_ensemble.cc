@@ -7,6 +7,7 @@
 
 #include "delta/codec.h"
 #include "obs/metrics.h"
+#include "sketch/fm_sketch.h"
 #include "util/bits.h"
 #include "util/logging.h"
 #include "util/serde.h"
@@ -69,6 +70,9 @@ NipsCi::NipsCi(ImplicationConditions conditions, NipsCiOptions options)
   for (int i = 0; i < options.num_bitmaps; ++i) {
     bitmaps_.emplace_back(conditions_, options_.nips);
   }
+  // Fill the shared readout table for this m now, in set-up, so that no
+  // estimate pays for it (sketch/fm_sketch.h).
+  (void)FmEnsembleReadout(bitmaps_.size());
   // Pre-register the pipeline metrics (merge/serialize counters included)
   // so a snapshot taken before any such event still lists them at zero.
   IMPLISTAT_IF_METRICS(NipsCiMetrics::Get());
@@ -385,6 +389,12 @@ size_t NipsCi::MemoryBytes() const {
   FlushMetrics();
   size_t bytes = sizeof(*this);
   for (const Nips& nips : bitmaps_) bytes += nips.MemoryBytes();
+  return bytes;
+}
+
+size_t NipsCi::RecountMemoryBytes() const {
+  size_t bytes = sizeof(*this);
+  for (const Nips& nips : bitmaps_) bytes += nips.RecountMemoryBytes();
   return bytes;
 }
 

@@ -53,7 +53,10 @@ class NipsCi final : public ImplicationEstimator {
   /// Leave-one-bitmap-out jackknife 1σ on the implication count (see
   /// core/ci.h); 0 for m = 1.
   double EstimateStdError() const override;
+  /// O(m): each bitmap keeps its own count (core/nips.h).
   size_t MemoryBytes() const override;
+  /// The same figure by walking every fringe cell; for tests.
+  size_t RecountMemoryBytes() const;
   std::string name() const override { return "NIPS/CI"; }
 
   /// All three estimates in one pass over the bitmaps.

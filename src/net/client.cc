@@ -11,6 +11,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/trace.h"
@@ -39,18 +40,14 @@ Status SetBlocking(int fd, bool blocking) {
 
 // Waits for `events` on `fd` until the absolute deadline (-1 = forever).
 // OK means ready; kDeadlineExceeded means the deadline fired first, and
-// kUnavailable that poll itself failed.
+// kUnavailable that poll itself failed. A deadline already past still
+// polls once without blocking, so data that has arrived is seen.
 Status PollUntil(int fd, short events, int64_t deadline_ms,
                  const char* what) {
   for (;;) {
     int timeout = -1;
     if (deadline_ms >= 0) {
-      const int64_t left = deadline_ms - NowMs();
-      if (left <= 0) {
-        return Status::DeadlineExceeded(std::string(what) +
-                                        ": deadline exceeded");
-      }
-      timeout = static_cast<int>(left);
+      timeout = static_cast<int>(std::max<int64_t>(0, deadline_ms - NowMs()));
     }
     struct pollfd pfd{fd, events, 0};
     int ready = poll(&pfd, 1, timeout);

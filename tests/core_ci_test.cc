@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "core/nips_ci_ensemble.h"
 #include "sketch/fm_sketch.h"
+#include "util/random.h"
+#include "util/serde.h"
 
 namespace implistat {
 namespace {
@@ -93,6 +98,133 @@ TEST(CiTest, EnsembleHandlesFractionalMeanRank) {
   CiEstimate est = CiFromEnsemble(bitmaps);
   EXPECT_NEAR(est.supported_distinct, Readout(4.5, 2),
               Readout(4.5, 2) * 1e-6);
+}
+
+// A NipsCi fed a mix of implications (one partner), non-implications
+// (several partners) and itemsets below the support threshold.
+NipsCi FedEnsemble(int m, uint64_t seed) {
+  ImplicationConditions cond = OneToOne(2);
+  NipsCiOptions opts;
+  opts.num_bitmaps = m;
+  opts.seed = seed;
+  NipsCi est(cond, opts);
+  Rng rng(seed);
+  for (int i = 0; i < 40000; ++i) {
+    const ItemsetKey a = rng.Uniform(6000);
+    const ItemsetKey b = a % 5 == 0 ? rng.Uniform(3) : a + 7;
+    est.Observe(a, b);
+  }
+  return est;
+}
+
+// Copies of the ensemble's bitmaps, for the span-based readouts.
+std::vector<Nips> Bitmaps(const NipsCi& est) {
+  std::vector<Nips> out;
+  for (int i = 0; i < est.num_bitmaps(); ++i) {
+    ByteWriter bytes;
+    est.bitmap(i).SerializeTo(&bytes);
+    const std::string data = bytes.Release();
+    ByteReader reader(data);
+    StatusOr<Nips> copy = Nips::Deserialize(&reader);
+    EXPECT_TRUE(copy.ok()) << copy.status();
+    out.push_back(std::move(copy).value());
+  }
+  return out;
+}
+
+struct Jackknife {
+  CiEstimate estimate;
+  CiEstimate std_error;
+  std::vector<CiEstimate> replicates;
+};
+
+// The CI readout and its leave-one-bitmap-out jackknife, written as the
+// textbook loop: every replicate kept in a vector, the implication
+// replicate clamped at 0 only when `clamp_replicates` asks for it.
+Jackknife TextbookJackknife(const NipsCi& est, bool clamp_replicates) {
+  const int m = est.num_bitmaps();
+  const double dm = m;
+  double sum_sup = 0, sum_non = 0;
+  for (int i = 0; i < m; ++i) {
+    sum_sup += est.bitmap(i).RSupport();
+    sum_non += est.bitmap(i).RNonImplication();
+  }
+  Jackknife out;
+  out.estimate.supported_distinct = dm * FmInvertMeanRank(sum_sup / dm);
+  out.estimate.non_implication = dm * FmInvertMeanRank(sum_non / dm);
+  out.estimate.implication = std::max(
+      0.0, out.estimate.supported_distinct - out.estimate.non_implication);
+  for (int i = 0; i < m; ++i) {
+    CiEstimate r;
+    r.supported_distinct = dm * FmInvertMeanRank(
+        (sum_sup - est.bitmap(i).RSupport()) / (dm - 1));
+    r.non_implication = dm * FmInvertMeanRank(
+        (sum_non - est.bitmap(i).RNonImplication()) / (dm - 1));
+    r.implication = r.supported_distinct - r.non_implication;
+    if (clamp_replicates) r.implication = std::max(0.0, r.implication);
+    out.replicates.push_back(r);
+  }
+  CiEstimate mean;
+  for (const CiEstimate& r : out.replicates) {
+    mean.supported_distinct += r.supported_distinct / dm;
+    mean.non_implication += r.non_implication / dm;
+    mean.implication += r.implication / dm;
+  }
+  CiEstimate var;
+  for (const CiEstimate& r : out.replicates) {
+    var.supported_distinct += (r.supported_distinct - mean.supported_distinct) *
+                              (r.supported_distinct - mean.supported_distinct);
+    var.non_implication += (r.non_implication - mean.non_implication) *
+                           (r.non_implication - mean.non_implication);
+    var.implication += (r.implication - mean.implication) *
+                       (r.implication - mean.implication);
+  }
+  const double scale = (dm - 1) / dm;
+  out.std_error.supported_distinct = std::sqrt(scale * var.supported_distinct);
+  out.std_error.non_implication = std::sqrt(scale * var.non_implication);
+  out.std_error.implication = std::sqrt(scale * var.implication);
+  return out;
+}
+
+TEST(CiJackknifeTest, MatchesTheTextbookLoop) {
+  for (int m : {8, 64}) {
+    const NipsCi est = FedEnsemble(m, 40 + m);
+    const Jackknife want = TextbookJackknife(est, /*clamp_replicates=*/false);
+    ASSERT_GT(want.std_error.implication, 0.0) << "m " << m;
+
+    const CiEstimate got = est.Estimate();
+    EXPECT_DOUBLE_EQ(got.supported_distinct,
+                     want.estimate.supported_distinct);
+    EXPECT_DOUBLE_EQ(got.non_implication, want.estimate.non_implication);
+    EXPECT_DOUBLE_EQ(got.implication, want.estimate.implication);
+    EXPECT_DOUBLE_EQ(est.EstimateStdError(), want.std_error.implication);
+
+    const std::vector<Nips> bitmaps = Bitmaps(est);
+    const CiEstimate se = CiEnsembleStdError(bitmaps);
+    EXPECT_DOUBLE_EQ(se.supported_distinct,
+                     want.std_error.supported_distinct);
+    EXPECT_DOUBLE_EQ(se.non_implication, want.std_error.non_implication);
+    EXPECT_DOUBLE_EQ(se.implication, want.std_error.implication);
+  }
+}
+
+// R_F0sup >= R_~S in every bitmap, so every leave-one-out sum for F0_sup
+// is at least its ~S sum and no implication replicate is negative: the
+// jackknife over the unclamped difference reports exactly what the
+// clamped one did.
+TEST(CiJackknifeTest, NoReplicateClampsSoTheClampedFormulaAgrees) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const NipsCi est = FedEnsemble(64, seed);
+    const Jackknife clamped = TextbookJackknife(est, /*clamp_replicates=*/true);
+    for (int i = 0; i < est.num_bitmaps(); ++i) {
+      ASSERT_GE(est.bitmap(i).RSupport(), est.bitmap(i).RNonImplication());
+    }
+    for (const CiEstimate& r : TextbookJackknife(est, false).replicates) {
+      ASSERT_GE(r.implication, 0.0);
+    }
+    EXPECT_EQ(est.EstimateStdError(), clamped.std_error.implication)
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

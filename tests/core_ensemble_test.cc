@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "baseline/exact_counter.h"
+#include "obs/instrumented_estimator.h"
+#include "query/engine.h"
 #include "util/random.h"
 
 namespace implistat {
@@ -128,6 +133,142 @@ TEST(NipsCiTest, RejectsNonPowerOfTwoBitmaps) {
   NipsCiOptions opts;
   opts.num_bitmaps = 48;
   EXPECT_DEATH({ NipsCi nips(OneToOne(1), opts); }, "power of two");
+}
+
+// The maintained memory count (O(m) per ensemble) against the walk over
+// every fringe cell it replaced, bitmap by bitmap and in total.
+void ExpectCountsMatchWalk(const NipsCi& est, const std::string& step) {
+  for (int i = 0; i < est.num_bitmaps(); ++i) {
+    ASSERT_EQ(est.bitmap(i).MemoryBytes(), est.bitmap(i).RecountMemoryBytes())
+        << step << ", bitmap " << i;
+  }
+  ASSERT_EQ(est.MemoryBytes(), est.RecountMemoryBytes()) << step;
+}
+
+// Drives every mutation path of the fringe — per-tuple and batched
+// observes, budget evictions (F = 2 leaves room for 6 itemsets per
+// bitmap), non-implication settles, merges, delta shipping into a twin,
+// decode and restore — and checks the count after each step, under both
+// multiplicity policies (the non-strict one reshapes pair counters).
+TEST(NipsCiMemoryTest, CountEqualsTheWalkAfterEveryMutation) {
+  for (bool strict : {true, false}) {
+    ImplicationConditions cond;
+    cond.max_multiplicity = 2;
+    cond.min_support = 3;
+    cond.min_top_confidence = 0.7;
+    cond.confidence_c = 1;
+    cond.strict_multiplicity = strict;
+    NipsCiOptions opts;
+    opts.num_bitmaps = 8;
+    opts.nips.fringe_size = 2;
+    opts.seed = 9;
+    NipsCi est(cond, opts), twin(cond, opts), other(cond, opts);
+    Rng rng(strict ? 1 : 2);
+    auto pairs = [&rng](size_t n) {
+      std::vector<ItemsetPair> out(n);
+      for (ItemsetPair& p : out) {
+        p.a = rng.Uniform(3000);
+        p.b = p.a % 3 == 0 ? rng.Uniform(4) : p.a % 2;
+      }
+      return out;
+    };
+    uint64_t epoch = 0;
+    bool twin_synced = false;
+    for (int round = 0; round < 24; ++round) {
+      const std::string at = "round " + std::to_string(round);
+      for (const ItemsetPair& p : pairs(150)) est.Observe(p.a, p.b);
+      ExpectCountsMatchWalk(est, at + ": Observe");
+      est.ObserveBatch(pairs(400));
+      ExpectCountsMatchWalk(est, at + ": ObserveBatch");
+
+      if (!twin_synced) {
+        StatusOr<std::string> full = est.SerializeState();
+        ASSERT_TRUE(full.ok());
+        ASSERT_TRUE(twin.RestoreState(*full).ok());
+        ExpectCountsMatchWalk(twin, at + ": RestoreState");
+        est.NoteSnapshotEpoch(++epoch);
+        twin_synced = true;
+      } else {
+        StatusOr<std::string> delta = est.SerializeDelta(epoch, epoch + 1);
+        ASSERT_TRUE(delta.ok()) << delta.status();
+        ++epoch;
+        ASSERT_TRUE(twin.ApplyDelta(*delta).ok());
+        ExpectCountsMatchWalk(twin, at + ": ApplyDelta");
+        ASSERT_EQ(twin.Serialize(), est.Serialize()) << at;
+      }
+
+      if (round % 5 == 4) {
+        other.ObserveBatch(pairs(300));
+        ASSERT_TRUE(est.Merge(other).ok());
+        ExpectCountsMatchWalk(est, at + ": Merge");
+        twin_synced = false;  // a merge drops every delta baseline
+      }
+      if (round % 7 == 6) {
+        StatusOr<NipsCi> decoded = NipsCi::Deserialize(est.Serialize());
+        ASSERT_TRUE(decoded.ok());
+        ExpectCountsMatchWalk(*decoded, at + ": Deserialize");
+      }
+    }
+    EXPECT_GT(est.TrackedItemsets(), 0u);
+  }
+}
+
+// TotalSynopsisMemoryBytes sums the maintained counts of every live
+// synopsis; it must equal the walk over the same synopses, after ingest
+// and after an engine checkpoint restores into a fresh engine.
+TEST(NipsCiMemoryTest, EngineTotalEqualsTheWalkOverItsSynopses) {
+  const Schema schema({{"Source", 97}, {"Destination", 47}, {"Hour", 24}});
+  auto spec = [](std::string a, std::string b, int m) {
+    ImplicationQuerySpec out;
+    out.a_attributes = {std::move(a)};
+    out.b_attributes = {std::move(b)};
+    out.conditions.max_multiplicity = 2;
+    out.conditions.min_support = 2;
+    out.conditions.min_top_confidence = 0.8;
+    out.estimator.kind = EstimatorKind::kNipsCi;
+    out.estimator.nips.num_bitmaps = m;
+    out.estimator.nips.nips.fringe_size = 3;
+    return out;
+  };
+  auto walk = [](const QueryEngine& engine) {
+    std::set<const NipsCi*> synopses;
+    for (QueryId id : engine.ActiveQueryIds()) {
+      const auto* nips = dynamic_cast<const NipsCi*>(
+          obs::Unwrap(engine.Estimator(id).value()));
+      EXPECT_NE(nips, nullptr);
+      if (nips != nullptr) synopses.insert(nips);
+    }
+    EXPECT_EQ(synopses.size(), 3u);
+    uint64_t bytes = 0;
+    for (const NipsCi* nips : synopses) bytes += nips->RecountMemoryBytes();
+    return bytes;
+  };
+  QueryEngine engine(schema);
+  ASSERT_TRUE(engine.Register(spec("Source", "Destination", 8)).ok());
+  ASSERT_TRUE(engine.Register(spec("Destination", "Source", 16)).ok());
+  ASSERT_TRUE(engine.Register(spec("Source", "Hour", 64)).ok());
+  Rng rng(17);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<ValueId> rows;
+    for (int i = 0; i < 3000; ++i) {
+      const ValueId source = static_cast<ValueId>(rng.Uniform(97));
+      rows.push_back(source);
+      rows.push_back(static_cast<ValueId>(
+          source % 4 == 0 ? rng.Uniform(47) : source % 47));
+      rows.push_back(static_cast<ValueId>(rng.Uniform(24)));
+    }
+    VectorStream stream(schema, std::move(rows));
+    ASSERT_TRUE(engine.ObserveStream(stream).ok());
+    ASSERT_EQ(engine.TotalSynopsisMemoryBytes(), walk(engine))
+        << "round " << round;
+  }
+  StatusOr<std::string> checkpoint = engine.SerializeState();
+  ASSERT_TRUE(checkpoint.ok());
+  QueryEngine restored(schema);
+  ASSERT_TRUE(restored.RestoreState(*checkpoint).ok());
+  EXPECT_EQ(restored.TotalSynopsisMemoryBytes(), walk(restored));
+  EXPECT_EQ(restored.TotalSynopsisMemoryBytes(),
+            engine.TotalSynopsisMemoryBytes());
 }
 
 }  // namespace

@@ -17,11 +17,14 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "net/client.h"
+#include "net/messages.h"
 #include "net/server.h"
+#include "net/wire.h"
 #include "query/engine.h"
 
 namespace implistat::net {
@@ -195,6 +198,62 @@ TEST(NetTimeoutTest, WaitForTriggerPoisonsOnCorruptFrameNotOnTimeout) {
   char buf[64];
   EXPECT_EQ(::recv(peer, buf, sizeof(buf), MSG_DONTWAIT), -1)
       << "the poisoned client still wrote a request";
+}
+
+// A zero timeout still reads the socket once: a push that has already
+// arrived is dispatched, not reported as a missed deadline.
+TEST(NetTimeoutTest, WaitForTriggerZeroDispatchesAPushAlreadyArrived) {
+  SilentListener listener(/*backlog=*/4);
+  ClientOptions options;
+  options.connect_timeout_ms = 1000;
+  options.request_timeout_ms = 1000;
+  auto client = Client::Connect("127.0.0.1", listener.port(), options);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const int peer = listener.AcceptOne();
+  int fired = 0;
+  client->set_on_trigger(
+      [&fired](const TriggerFired& push, const obs::SpanContext&) {
+        ++fired;
+        EXPECT_EQ(push.trigger, "surge");
+        EXPECT_EQ(push.epoch, 5u);
+      });
+
+  TriggerFired push;
+  push.trigger = "surge";
+  push.epoch = 5;
+  push.value = 1.0;
+  const std::string frame =
+      EncodePushFrame(MsgType::kTriggerFired, EncodeTriggerFired(push));
+  ASSERT_EQ(::send(peer, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  Status waited = client->WaitForTrigger(0);
+  EXPECT_TRUE(waited.ok()) << waited;
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(client->connection_lost());
+}
+
+// With nothing to read, a zero timeout is a plain miss: the connection
+// stays aligned and the next request goes through.
+TEST(NetTimeoutTest, WaitForTriggerZeroWithoutAPushKeepsTheConnection) {
+  auto engine = std::make_unique<QueryEngine>(TestSchema());
+  ASSERT_TRUE(engine->Register(ExactSpec()).ok());
+  Server server(engine.get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  std::thread run([&server] { (void)server.Run(); });
+
+  ClientOptions options;
+  options.connect_timeout_ms = 1000;
+  options.request_timeout_ms = 1000;
+  auto client = Client::Connect("127.0.0.1", server.port(), options);
+  ASSERT_TRUE(client.ok()) << client.status();
+  EXPECT_EQ(client->WaitForTrigger(0).code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(client->connection_lost());
+  EXPECT_TRUE(client->Ping().ok());
+
+  server.Shutdown();
+  run.join();
 }
 
 TEST(NetTimeoutTest, ServerGoneIsConnectionLostAndReconnectResumes) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "hash/hash_family.h"
 #include "util/random.h"
@@ -138,6 +140,95 @@ TEST(FmCalibrationTest, EmpiricalMeanRankDecodesTruly) {
     total_ratio += decoded / (kKeysPerBitmap * kBitmaps);
   }
   EXPECT_NEAR(total_ratio / kRuns, 1.0, 0.10);
+}
+
+// FmInvertMeanRank before its Newton rewrite: 80 halvings of the bracket
+// [−20, 62] on log2 ν. Kept as the oracle the rewrite must match. It
+// calls FmExpectedRank, which equals the plain series it called then bit
+// for bit (ExpectedRankIsThePlainSeries).
+double BisectMeanRank(double mean_rank) {
+  if (mean_rank <= 0) return 0;
+  double lo = -20, hi = 62;
+  for (int iter = 0; iter < 80; ++iter) {
+    double mid = 0.5 * (lo + hi);
+    if (FmExpectedRank(std::pow(2.0, mid)) < mean_rank) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::pow(2.0, 0.5 * (lo + hi));
+}
+
+// The forward map as first written: one pow per cell, every factor
+// multiplied in.
+double PlainSeriesExpectedRank(double load) {
+  if (load <= 0) return 0;
+  double expectation = 0;
+  double prefix_all_hit = 1.0;
+  for (int i = 0; i < 64 && prefix_all_hit > 1e-12; ++i) {
+    prefix_all_hit *= 1.0 - std::exp(-load * std::pow(2.0, -(i + 1)));
+    expectation += prefix_all_hit;
+  }
+  return expectation;
+}
+
+void ExpectMatchesBisection(double mean_rank) {
+  const double bisected = BisectMeanRank(mean_rank);
+  EXPECT_NEAR(FmInvertMeanRank(mean_rank), bisected, bisected * 1e-13)
+      << "mean rank " << mean_rank;
+}
+
+TEST(FmCalibrationTest, ExpectedRankIsThePlainSeries) {
+  for (double load = 1e-7; load < 1e20; load *= 1.37) {
+    ASSERT_EQ(FmExpectedRank(load), PlainSeriesExpectedRank(load))
+        << "load " << load;
+  }
+}
+
+TEST(FmCalibrationTest, InvertMatchesBisectionOnTheLedgerGrid) {
+  for (int i = 0; i < 512; ++i) ExpectMatchesBisection(2.0 + 0.0173 * i);
+  // Either end of the bracket, where the bisection pins.
+  for (double rank : {1e-9, 61.9, 63.0, 64.0}) ExpectMatchesBisection(rank);
+}
+
+TEST(FmReadoutTableTest, EntriesAreTheInversionOverTheWholeDomain) {
+  for (size_t m : {1, 2, 8, 64, 256}) {
+    const FmEnsembleReadout readout(m);
+    const double dm = static_cast<double>(m);
+    const size_t max_rank = 64 - static_cast<size_t>(std::log2(dm));
+    std::span<const double> mean = readout.mean_table();
+    std::span<const double> loo = readout.leave_one_out_table();
+    ASSERT_EQ(mean.size(), m * max_rank + 1) << "m " << m;
+    ASSERT_EQ(loo.size(), m == 1 ? 0 : (m - 1) * max_rank + 1) << "m " << m;
+    for (size_t k = 0; k < mean.size(); ++k) {
+      const double rank = static_cast<double>(k) / dm;
+      ASSERT_EQ(mean[k], FmInvertMeanRank(rank)) << "m " << m << " k " << k;
+      ASSERT_EQ(readout.Mean(k), mean[k]);
+      ExpectMatchesBisection(rank);
+    }
+    for (size_t k = 0; k < loo.size(); ++k) {
+      const double rank = static_cast<double>(k) / (dm - 1);
+      ASSERT_EQ(loo[k], FmInvertMeanRank(rank)) << "m " << m << " k " << k;
+      ASSERT_EQ(readout.LeaveOneOut(k), loo[k]);
+      ExpectMatchesBisection(rank);
+    }
+    // A sum past the table (a decoded bitmap longer than a fresh one)
+    // inverts directly.
+    EXPECT_EQ(readout.Mean(mean.size()),
+              FmInvertMeanRank(static_cast<double>(mean.size()) / dm));
+  }
+}
+
+TEST(FmReadoutTableTest, LargeEnsemblesInvertDirectly) {
+  const size_t m = 2 * FmEnsembleReadout::kMaxTableBitmaps;
+  const FmEnsembleReadout readout(m);
+  EXPECT_TRUE(readout.mean_table().empty());
+  EXPECT_TRUE(readout.leave_one_out_table().empty());
+  for (uint64_t k : {0, 1, 777, 9000}) {
+    EXPECT_EQ(readout.Mean(k), FmInvertMeanRank(k / 512.0));
+    EXPECT_EQ(readout.LeaveOneOut(k), FmInvertMeanRank(k / 511.0));
+  }
 }
 
 TEST(FmSketchTest, ShortBitmapSaturates) {

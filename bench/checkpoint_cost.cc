@@ -65,7 +65,7 @@ std::vector<KindSpec> AllKinds() {
                      opts.window = 1 << 16;
                      opts.stride = 1 << 13;
                      opts.estimator = EnsembleOptions();
-                     return std::make_unique<SlidingNipsCiEstimator>(
+                     return std::make_unique<SlidingNipsCi>(
                          BenchConditions(), opts);
                    }});
   kinds.push_back({"distinct_sampling", [] {

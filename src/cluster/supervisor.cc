@@ -228,6 +228,24 @@ Status AggregatorSupervisor::Init() {
     return Status::FailedPrecondition(
         "aggregate engine has no registered queries to supervise");
   }
+  // Every refold merges into a fresh estimator from the unit's recipe. A
+  // kind that cannot merge (a sliding window, ISS) would fail every
+  // refold, so the same merge is tried once here, on two empty estimators.
+  for (const QueryEngine::FoldUnit& unit : fold_units_) {
+    IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> probe,
+                               MakeEstimator(unit.conditions, unit.config));
+    IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> other,
+                               MakeEstimator(unit.conditions, unit.config));
+    if (Status merged = probe->MergeFrom(*other); !merged.ok()) {
+      std::string message = "query ";
+      message.append(std::to_string(unit.representative))
+          .append(" (")
+          .append(probe->name())
+          .append(") cannot be aggregated: ")
+          .append(merged.message());
+      return Status::FailedPrecondition(message);
+    }
+  }
   for (auto& peer : peers_) peer->units.resize(fold_units_.size());
   if (engine_->tuples_seen() > 0) {
     base_tuples_ = engine_->tuples_seen();

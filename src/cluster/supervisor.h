@@ -180,6 +180,9 @@ class AggregatorSupervisor {
   /// checkpoint) once into a base contribution included in every refold.
   /// Call once, before any poll, while the engine is still safe to touch
   /// from this thread; the supervisor never reads the engine again.
+  /// FailedPrecondition, naming the query and its estimator, when a fold
+  /// unit's kind cannot merge (a windowed or ISS query): every refold
+  /// would fail on it, so such an engine cannot be an aggregate.
   Status Init();
 
   /// One supervision round at (monotonic) time `now_ms`: attempts every

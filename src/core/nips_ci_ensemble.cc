@@ -282,6 +282,9 @@ Status NipsCi::MergeFrom(const ImplicationEstimator& other) {
 }
 
 namespace {
+// First byte of every NipsCi delta fragment; a fragment of any other kind
+// is refused before it is decoded.
+constexpr uint8_t kNipsCiDeltaTag = 1;
 constexpr uint8_t kNipsCiDeltaVersion = 1;
 }  // namespace
 
@@ -338,8 +341,9 @@ StatusOr<std::string> NipsCi::SerializeDelta(uint64_t since_epoch,
   return out.Release();
 }
 
-StatusOr<NipsCi::DeltaFragment> NipsCi::DecodeDeltaFragment(
-    std::string_view fragment) const {
+Status NipsCi::ApplyDelta(std::string_view fragment) {
+  // Decode-and-validate into temporaries; only a fully validated
+  // fragment mutates the bitmaps (same contract as RestoreState).
   ByteReader in(fragment);
   uint8_t tag, version;
   IMPLISTAT_RETURN_NOT_OK(in.ReadU8(&tag));
@@ -357,31 +361,19 @@ StatusOr<NipsCi::DeltaFragment> NipsCi::DecodeDeltaFragment(
   }
   std::vector<bool> changed;
   IMPLISTAT_RETURN_NOT_OK(delta::DecodeMask(&in, bitmaps_.size(), &changed));
-  DeltaFragment decoded;
+  std::vector<std::pair<size_t, Nips::DeltaPatch>> patches;
   for (size_t i = 0; i < bitmaps_.size(); ++i) {
     if (!changed[i]) continue;
     IMPLISTAT_ASSIGN_OR_RETURN(Nips::DeltaPatch patch,
                                bitmaps_[i].DecodeDeltaSection(&in));
-    decoded.bitmaps.emplace_back(i, std::move(patch));
+    patches.emplace_back(i, std::move(patch));
   }
   if (!in.AtEnd()) {
     return Status::InvalidArgument("NipsCi delta: trailing bytes");
   }
-  return decoded;
-}
-
-void NipsCi::ApplyDeltaFragment(DeltaFragment&& decoded) {
-  for (auto& [index, patch] : decoded.bitmaps) {
+  for (auto& [index, patch] : patches) {
     bitmaps_[index].ApplyDeltaPatch(std::move(patch));
   }
-}
-
-Status NipsCi::ApplyDelta(std::string_view fragment) {
-  // Decode-and-validate into temporaries; only a fully validated
-  // fragment mutates the bitmaps (same contract as RestoreState).
-  IMPLISTAT_ASSIGN_OR_RETURN(DeltaFragment decoded,
-                             DecodeDeltaFragment(fragment));
-  ApplyDeltaFragment(std::move(decoded));
   return Status::OK();
 }
 

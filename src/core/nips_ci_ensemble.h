@@ -13,7 +13,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/ci.h"
@@ -115,15 +114,6 @@ class NipsCi final : public ImplicationEstimator {
   Status ApplyDelta(std::string_view fragment) override;
   void NoteSnapshotEpoch(uint64_t epoch) const override;
 
-  /// Decoded, target-validated delta fragment (per-bitmap patches).
-  /// Split from ApplyDelta so a container (SlidingNipsCi) can validate
-  /// patches for ALL its origins before mutating any of them.
-  struct DeltaFragment {
-    std::vector<std::pair<size_t, Nips::DeltaPatch>> bitmaps;
-  };
-  StatusOr<DeltaFragment> DecodeDeltaFragment(std::string_view fragment) const;
-  void ApplyDeltaFragment(DeltaFragment&& decoded);
-
   int num_bitmaps() const { return static_cast<int>(bitmaps_.size()); }
   const Nips& bitmap(int i) const { return bitmaps_[i]; }
   const ImplicationConditions& conditions() const { return conditions_; }
@@ -184,9 +174,6 @@ class NipsCi final : public ImplicationEstimator {
   mutable uint64_t observe_flushed_ = 0;
   mutable std::deque<DeltaMark> delta_marks_;
 };
-
-/// First byte of every NipsCi delta fragment (cross-kind apply check).
-inline constexpr uint8_t kNipsCiDeltaTag = 1;
 
 }  // namespace implistat
 

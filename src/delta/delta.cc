@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/nips_ci_ensemble.h"
-#include "core/sliding.h"
 #include "delta/codec.h"
 #include "util/serde.h"
 
@@ -101,34 +100,22 @@ StatusOr<std::unique_ptr<ImplicationEstimator>> MaterializeEstimator(
     std::string_view full_snapshot) {
   IMPLISTAT_ASSIGN_OR_RETURN(SnapshotKind kind,
                              PeekSnapshotKind(full_snapshot));
-  switch (kind) {
-    case SnapshotKind::kNipsCi: {
-      IMPLISTAT_ASSIGN_OR_RETURN(
-          std::string_view payload,
-          UnwrapSnapshot(full_snapshot, SnapshotKind::kNipsCi));
-      IMPLISTAT_ASSIGN_OR_RETURN(NipsCi decoded, NipsCi::Deserialize(payload));
-      return std::unique_ptr<ImplicationEstimator>(
-          std::make_unique<NipsCi>(std::move(decoded)));
-    }
-    case SnapshotKind::kSlidingNipsCi: {
-      // Geometry and conditions are carried by the snapshot itself; the
-      // placeholder construction never observes a tuple, so its defaults
-      // are irrelevant after RestoreState.
-      auto sliding = std::make_unique<SlidingNipsCiEstimator>(
-          ImplicationConditions{}, SlidingOptions{});
-      IMPLISTAT_RETURN_NOT_OK(sliding->RestoreState(full_snapshot));
-      return std::unique_ptr<ImplicationEstimator>(std::move(sliding));
-    }
-    default:
-      return Status::Unimplemented(
-          std::string("delta: no estimator materialization for snapshot "
-                      "kind ") +
-          SnapshotKindName(kind));
+  if (kind != SnapshotKind::kNipsCi) {
+    return Status::Unimplemented(
+        std::string("delta: no estimator materialization for snapshot "
+                    "kind ") +
+        SnapshotKindName(kind));
   }
+  IMPLISTAT_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      UnwrapSnapshot(full_snapshot, SnapshotKind::kNipsCi));
+  IMPLISTAT_ASSIGN_OR_RETURN(NipsCi decoded, NipsCi::Deserialize(payload));
+  return std::unique_ptr<ImplicationEstimator>(
+      std::make_unique<NipsCi>(std::move(decoded)));
 }
 
 bool KindSupportsDeltas(SnapshotKind kind) {
-  return kind == SnapshotKind::kNipsCi || kind == SnapshotKind::kSlidingNipsCi;
+  return kind == SnapshotKind::kNipsCi;
 }
 
 }  // namespace implistat

@@ -68,9 +68,9 @@ StatusOr<DeltaInfo> ApplyDeltaSnapshot(ImplicationEstimator* estimator,
                                        uint64_t expected_base_epoch);
 
 /// Builds a live estimator from a full durable snapshot, dispatching on
-/// the envelope's SnapshotKind. Supports the kinds that serve deltas
-/// (kNipsCi, kSlidingNipsCi); everything else is Unimplemented and stays
-/// on the full-snapshot pull path.
+/// the envelope's SnapshotKind. Supports the one kind that serves deltas
+/// (kNipsCi); everything else, windows included, is Unimplemented and
+/// stays on the full-snapshot pull path.
 StatusOr<std::unique_ptr<ImplicationEstimator>> MaterializeEstimator(
     std::string_view full_snapshot);
 

@@ -114,7 +114,8 @@ class Client {
 
   /// Pulls query `id`'s serialized estimator state — the kilobyte
   /// summary an edge ships instead of its stream — together with the
-  /// edge's epoch (its tuples_seen at serialize time).
+  /// edge's epoch (its tuples_seen at serialize time). A read only: it
+  /// sets no delta baseline, so SnapshotDelta cannot name its epoch.
   StatusOr<SnapshotResponse> Snapshot(uint32_t query_id);
 
   /// Pulls query `id`'s state as a delta against `since_epoch`: the

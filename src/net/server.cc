@@ -354,10 +354,6 @@ void Server::ApplySnapshot(EngineOp& op, Completion* done) {
   // The epoch stamps how much stream this state covers; an aggregator
   // skips refolding a peer whose epoch (and therefore state) is
   // unchanged, and spots an edge that restarted from a checkpoint.
-  //
-  // Noting the epoch records a delta baseline, so the caller may follow
-  // this full pull with SNAPSHOT_DELTA keyed by the epoch it just got.
-  (*est)->NoteSnapshotEpoch(engine_->tuples_seen());
   done->body = EncodeSnapshotResponse(engine_->tuples_seen(), *snapshot);
 }
 

@@ -202,7 +202,7 @@ StatusOr<std::unique_ptr<ImplicationEstimator>> MakeEstimator(
     }
     sliding.estimator = config.nips;
     return std::unique_ptr<ImplicationEstimator>(
-        std::make_unique<SlidingNipsCiEstimator>(conditions, sliding));
+        std::make_unique<SlidingNipsCi>(conditions, sliding));
   }
   switch (config.kind) {
     case EstimatorKind::kNipsCi:

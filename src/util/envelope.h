@@ -79,7 +79,7 @@ enum class SnapshotKind : uint8_t {
   kIss = 5,              // ImplicationStickySampling
   kLossyCounting = 6,    // plain frequent-items LossyCounting
   kStickySampling = 7,   // plain frequent-items StickySampling
-  kSlidingNipsCi = 8,    // SlidingNipsCi / SlidingNipsCiEstimator
+  kSlidingNipsCi = 8,    // SlidingNipsCi
   // 9 and 10 are retired (the pre-store engine checkpoint and the
   // per-window increment tracker) and stay reserved: never reuse them.
   kValueDictionary = 11,     // per-attribute ValueDictionary vector

@@ -339,6 +339,36 @@ TEST(ClusterSupervisorTest, LocalBaseStateJoinsTheFold) {
   EXPECT_EQ(aggregate.tuples_seen(), 800u);
 }
 
+// A refold merges every unit; a unit whose kind cannot merge would fail
+// every refold, so Init() refuses it before any poll, naming the query.
+TEST(ClusterSupervisorTest, InitRefusesUnitsThatCannotMerge) {
+  ImplicationQuerySpec windowed = NipsSpec();
+  windowed.estimator.window = 1000;
+  windowed.estimator.stride = 250;
+  windowed.label = "windowed";
+  ImplicationQuerySpec iss = ExactSpec();
+  iss.estimator.kind = EstimatorKind::kIss;
+  iss.label = "iss";
+  for (const ImplicationQuerySpec& spec : {windowed, iss}) {
+    SCOPED_TRACE(spec.label);
+    QueryEngine aggregate(TestSchema());
+    ASSERT_TRUE(aggregate.Register(NipsSpec()).ok());
+    auto id = aggregate.Register(spec);
+    ASSERT_TRUE(id.ok()) << id.status();
+    AggregatorSupervisor supervisor(&aggregate, {{"127.0.0.1", 1, "edge"}},
+                                    TestOptions());
+    Status init = supervisor.Init();
+    EXPECT_EQ(init.code(), StatusCode::kFailedPrecondition) << init;
+    const std::string message(init.message());
+    EXPECT_NE(message.find("query " + std::to_string(*id)), std::string::npos)
+        << message;
+    auto estimator = aggregate.Estimator(*id);
+    ASSERT_TRUE(estimator.ok());
+    EXPECT_NE(message.find((*estimator)->name()), std::string::npos)
+        << message;
+  }
+}
+
 TEST(ClusterSupervisorTest, HealthTransitionsStaleExclusionAndRecovery) {
   Edge edge_a;
   Edge edge_b;
@@ -608,6 +638,49 @@ TEST(ClusterDeltaTest, EdgeRestartForcesResyncThenDeltasResume) {
   ExpectSameAnswers(aggregate, single);
 
   std::remove(ckpt.c_str());
+}
+
+// A plain SNAPSHOT is a read, not a delta baseline: however many of them
+// land between two polls, the supervisor's own baseline survives and the
+// next poll is still a patch.
+TEST(ClusterDeltaTest, PlainSnapshotSetsNoDeltaBaseline) {
+  auto register_nips = [](QueryEngine& engine) {
+    ASSERT_TRUE(engine.Register(NipsSpec()).ok());
+  };
+  Edge edge;
+  register_nips(edge.engine());
+  FeedLocal(edge.engine(), 0, 500);
+  edge.Start();
+
+  QueryEngine aggregate(TestSchema());
+  register_nips(aggregate);
+  AggregatorSupervisor supervisor(&aggregate, {edge.Config("edge")},
+                                  TestOptions());
+  ASSERT_TRUE(supervisor.Init().ok());
+  ASSERT_EQ(supervisor.PollOnce(0).full_pulls, 1);
+
+  auto client = edge.Connect();
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->ObserveBatch(IdBatch(500, 600)).ok());
+  PollStats patched = supervisor.PollOnce(1000);
+  ASSERT_EQ(patched.delta_pulls, 1);
+
+  // More plain reads at new epochs than the edge remembers baselines.
+  const uint32_t query =
+      static_cast<uint32_t>(aggregate.FoldUnits()[0].representative);
+  for (uint64_t row = 600; row < 609; ++row) {
+    ASSERT_TRUE(client->ObserveBatch(IdBatch(row, row + 1)).ok());
+    ASSERT_TRUE(client->Snapshot(query).ok());
+  }
+  PollStats after = supervisor.PollOnce(2000);
+  EXPECT_EQ(after.delta_pulls, 1);
+  EXPECT_EQ(after.full_pulls, 0);
+  EXPECT_EQ(after.resyncs, 0);
+
+  QueryEngine single(TestSchema());
+  register_nips(single);
+  FeedLocal(single, 0, 609);
+  ExpectSameAnswers(aggregate, single);
 }
 
 // Every pull is a SNAPSHOT_DELTA: a kind without deltas (the exact unit)

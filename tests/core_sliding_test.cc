@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+
 #include "core/moving_average.h"
 
 namespace implistat {
@@ -43,12 +47,12 @@ TEST(SlidingTest, WindowEstimateDropsRetiredItemsets) {
     sliding.Observe(i, 1);
     sliding.Observe(i, 1);
   }
-  double during = sliding.WindowEstimate();
+  double during = sliding.EstimateImplicationCount();
   EXPECT_NEAR(during, 1000, 1000 * 0.35);
   for (uint64_t i = 0; i < 8000; ++i) {
     sliding.Observe(5000 + (i % 50), 1);
   }
-  double after = sliding.WindowEstimate();
+  double after = sliding.EstimateImplicationCount();
   // The window now covers only phase-B traffic: ~50 itemsets.
   EXPECT_LT(after, 300.0);
 }
@@ -57,7 +61,7 @@ TEST(SlidingTest, BeforeFirstWindowCountsFromStart) {
   SlidingNipsCi sliding(OneToOne(1), SmallWindow(10000, 1000));
   for (uint64_t i = 0; i < 500; ++i) sliding.Observe(i, 1);
   EXPECT_EQ(sliding.num_origins(), 1u);
-  EXPECT_NEAR(sliding.WindowEstimate(), 500, 500 * 0.35);
+  EXPECT_NEAR(sliding.EstimateImplicationCount(), 500, 500 * 0.35);
 }
 
 TEST(SlidingTest, TuplesSeenAdvances) {
@@ -73,8 +77,8 @@ TEST(SlidingTest, WindowNonImplicationEstimate) {
     sliding.Observe(i, 1);
     sliding.Observe(i, 2);  // K = 1 violated for every itemset
   }
-  EXPECT_NEAR(sliding.WindowNonImplicationEstimate(), 1000, 1000 * 0.35);
-  EXPECT_LT(sliding.WindowEstimate(), 300.0);
+  EXPECT_NEAR(sliding.EstimateNonImplicationCount(), 1000, 1000 * 0.35);
+  EXPECT_LT(sliding.EstimateImplicationCount(), 300.0);
 }
 
 TEST(SlidingTest, ComplexImplicationMovingAverage) {
@@ -88,7 +92,9 @@ TEST(SlidingTest, ComplexImplicationMovingAverage) {
                        uint64_t phase_tuples) {
     for (uint64_t i = 0; i < phase_tuples; ++i) {
       sliding.Observe(itemset_base + (i % population), 1);
-      if (++tuples % 500 == 0) avg.AddSample(sliding.WindowEstimate());
+      if (++tuples % 500 == 0) {
+        avg.AddSample(sliding.EstimateImplicationCount());
+      }
     }
   };
   run_phase(0, 200, 6000);
@@ -99,12 +105,47 @@ TEST(SlidingTest, ComplexImplicationMovingAverage) {
   EXPECT_LT(phase_b, phase_a * 0.6);
 }
 
-TEST(SlidingEstimatorAdapterTest, ImplementsEstimatorInterface) {
-  SlidingNipsCiEstimator adapter(OneToOne(1), SmallWindow(1000, 250));
-  for (uint64_t i = 0; i < 500; ++i) adapter.Observe(i, 1);
-  EXPECT_EQ(adapter.name(), "NIPS/CI-sliding");
-  EXPECT_NEAR(adapter.EstimateImplicationCount(), 500, 500 * 0.35);
-  EXPECT_GT(adapter.MemoryBytes(), 0u);
+TEST(SlidingTest, ImplementsEstimatorInterface) {
+  SlidingNipsCi sliding(OneToOne(1), SmallWindow(1000, 250));
+  ImplicationEstimator& estimator = sliding;
+  for (uint64_t i = 0; i < 500; ++i) estimator.Observe(i, 1);
+  EXPECT_EQ(estimator.name(), "NIPS/CI-sliding");
+  EXPECT_NEAR(estimator.EstimateImplicationCount(), 500, 500 * 0.35);
+  EXPECT_GT(estimator.MemoryBytes(), 0u);
+  // Two windows share no stream position, so neither merges into the
+  // other.
+  SlidingNipsCi other(OneToOne(1), SmallWindow(1000, 250));
+  EXPECT_EQ(estimator.MergeFrom(other).code(), StatusCode::kUnimplemented);
+}
+
+// 64-bit FNV-1a. Not the envelope's CRC32C: a CRC taken over bytes that
+// end in their own CRC is the same constant for every snapshot.
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The kSlidingNipsCi checkpoint bytes are pinned: a small deterministic
+// window (fixed seed, fixed rows, five live origins after retirements)
+// must serialize to exactly these bytes, so a refactor of the class
+// cannot silently change what a checkpoint holds.
+TEST(SlidingTest, SnapshotBytesAreGolden) {
+  SlidingOptions options = SmallWindow(400, 100);
+  options.estimator.num_bitmaps = 8;
+  SlidingNipsCi sliding(OneToOne(2), options);
+  for (uint64_t i = 0; i < 1050; ++i) {
+    ItemsetKey a = i % 137;
+    sliding.Observe(a, a % 7 == 0 ? i % 3 : 1);
+  }
+  ASSERT_EQ(sliding.num_origins(), 5u);
+  StatusOr<std::string> state = sliding.SerializeState();
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(state->size(), 18250u);
+  EXPECT_EQ(Fnv1a64(*state), 0x1b3f149b58f72f33ull);
 }
 
 TEST(SlidingTest, MemoryScalesWithOriginsNotStream) {

@@ -80,7 +80,7 @@ std::unique_ptr<ImplicationEstimator> MakeSliding() {
   options.window = 512;
   options.stride = 64;
   options.estimator = SmallEnsemble();
-  return std::make_unique<SlidingNipsCiEstimator>(TestConditions(), options);
+  return std::make_unique<SlidingNipsCi>(TestConditions(), options);
 }
 
 const std::vector<Kind>& AllKinds() {

@@ -149,7 +149,7 @@ void ShipAndCheck(const ImplicationEstimator& source,
 }
 
 // ---------------------------------------------------------------------------
-// Byte identity across delta chains, for both delta-capable kinds.
+// Byte identity across delta chains, for every delta-capable kind.
 // ---------------------------------------------------------------------------
 
 struct DeltaKind {
@@ -165,10 +165,10 @@ std::unique_ptr<ImplicationEstimator> MakeSliding() {
   options.window = 1000;
   options.stride = 100;
   options.estimator = Opts();
-  return std::make_unique<SlidingNipsCiEstimator>(Cond(), options);
+  return std::make_unique<SlidingNipsCi>(Cond(), options);
 }
 
-const DeltaKind kKinds[] = {{"nips_ci", MakeNips}, {"sliding", MakeSliding}};
+const DeltaKind kKinds[] = {{"nips_ci", MakeNips}};
 
 TEST(DeltaShippingTest, ChainedDeltasStayByteIdentical) {
   for (const DeltaKind& kind : kKinds) {
@@ -183,8 +183,7 @@ TEST(DeltaShippingTest, ChainedDeltasStayByteIdentical) {
     source->NoteSnapshotEpoch(1);
     EXPECT_EQ(MustState(*twin), MustState(*source));
 
-    // Ten polls, each shipping only the increment. The sliding kind
-    // crosses several origin openings and retirements along the way.
+    // Ten polls, each shipping only the increment.
     uint64_t pos = 2000;
     for (uint64_t epoch = 1; epoch < 11; ++epoch) {
       Feed(source.get(), pos, pos + 350);
@@ -226,7 +225,7 @@ TEST(DeltaShippingTest, InterleavedFullAndDeltaPulls) {
 // increment is small relative to accumulated state — the subsystem's
 // reason to exist (quantified at fleet scale in bench/fleet_scale.cc).
 TEST(DeltaShippingTest, DeltaIsSmallerThanFullSnapshot) {
-  auto source = MakeSliding();
+  auto source = MakeNips();
   Feed(source.get(), 0, 20000);
   source->NoteSnapshotEpoch(1);
   Feed(source.get(), 20000, 20050);
@@ -315,6 +314,9 @@ TEST(DeltaShippingTest, EpochMismatchRefusesWithoutMutation) {
   }
 }
 
+// A window has no delta protocol: it neither serves a patch nor applies
+// one (a NIPS/CI fragment here), and the refused apply leaves it as it
+// was.
 TEST(DeltaShippingTest, CrossKindFragmentRefusedWithoutMutation) {
   auto nips_source = MakeNips();
   Feed(nips_source.get(), 0, 500);
@@ -325,8 +327,12 @@ TEST(DeltaShippingTest, CrossKindFragmentRefusedWithoutMutation) {
 
   auto sliding = MakeSliding();
   Feed(sliding.get(), 0, 500);
-  std::string before = MustState(*sliding);
-  EXPECT_FALSE(sliding->ApplyDelta(*fragment).ok());
+  sliding->NoteSnapshotEpoch(1);
+  Feed(sliding.get(), 500, 600);
+  const std::string before = MustState(*sliding);
+  EXPECT_EQ(sliding->SerializeDelta(1, 2).status().code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(sliding->ApplyDelta(*fragment).code(), StatusCode::kUnimplemented);
   EXPECT_EQ(MustState(*sliding), before);
 }
 
@@ -363,8 +369,12 @@ TEST(DeltaShippingTest, UnsupportedKindIsUnimplemented) {
   auto fragment = source->SerializeDelta(0, 1);
   (void)fragment;  // NipsCi supports deltas; exercise a kind that doesn't.
   EXPECT_TRUE(KindSupportsDeltas(SnapshotKind::kNipsCi));
-  EXPECT_TRUE(KindSupportsDeltas(SnapshotKind::kSlidingNipsCi));
+  EXPECT_FALSE(KindSupportsDeltas(SnapshotKind::kSlidingNipsCi));
   EXPECT_FALSE(KindSupportsDeltas(SnapshotKind::kExactCounter));
+  auto sliding = MakeSliding();
+  Feed(sliding.get(), 0, 300);
+  EXPECT_EQ(MaterializeEstimator(MustState(*sliding)).status().code(),
+            StatusCode::kUnimplemented);
 }
 
 // ---------------------------------------------------------------------------

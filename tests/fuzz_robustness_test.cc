@@ -189,7 +189,7 @@ const std::vector<DurableKind>& DurableKinds() {
          o.estimator.num_bitmaps = 8;
          o.estimator.seed = 21;
          return std::unique_ptr<ImplicationEstimator>(
-             std::make_unique<SlidingNipsCiEstimator>(StateCond(), o));
+             std::make_unique<SlidingNipsCi>(StateCond(), o));
        }},
   };
   return kinds;
@@ -365,9 +365,7 @@ const std::vector<DurableKind>& DeltaCapableKinds() {
   static const std::vector<DurableKind> kinds = [] {
     std::vector<DurableKind> out;
     for (const DurableKind& kind : DurableKinds()) {
-      if (kind.name == "nips_ci" || kind.name == "sliding_nips_ci") {
-        out.push_back(kind);
-      }
+      if (kind.name == "nips_ci") out.push_back(kind);
     }
     return out;
   }();

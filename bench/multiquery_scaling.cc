@@ -1,18 +1,18 @@
 // Multi-query scaling: memory and ingest throughput for N overlapping
-// queries with the shared synopsis store on vs. off (the
-// --no-query-sharing layout).
+// queries in one engine with the shared synopsis store vs. the dedicated
+// layout, N engines with one query each.
 //
 // Workload: N tenant queries drawn from a fixed pool of 16 distinct
 // templates — the multi-tenant shape where many dashboards register the
-// same statistic. With sharing on, the engine collapses the N
-// registrations onto one synopsis per template, so memory is flat in N
-// while the dedicated layout grows linearly; ingest scales with live
-// synopses instead of registered queries.
+// same statistic. The shared engine collapses the N registrations onto
+// one synopsis per template, so memory is flat in N while the dedicated
+// layout grows linearly; ingest scales with live synopses instead of
+// registered queries.
 //
 // The run self-verifies the tentpole claim before reporting: every
-// query's answer under sharing is BIT-IDENTICAL to the dedicated run
-// (same estimator bytes, same observation sequence) — any mismatch
-// aborts the bench.
+// tenant's answer from the shared engine is BIT-IDENTICAL to its own
+// one-query engine (same estimator bytes, same observation sequence) —
+// any mismatch aborts the bench.
 //
 // Scale knobs: IMPLISTAT_FULL=1 (200k tuples; default 20k). An optional
 // argv[1] names a JSON output file (results/BENCH_multiquery.json is
@@ -24,7 +24,9 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -105,7 +107,7 @@ int main(int argc, char** argv) {
   const std::vector<int> fleet_sizes = {64, 256, 1024};
 
   bench::PrintHeaderBanner(
-      "Multi-query scaling (shared synopsis store vs --no-query-sharing)",
+      "Multi-query scaling (shared synopsis store vs one engine per query)",
       "N tenants over 16 templates; answers verified bit-identical");
   std::printf("n=%llu tuples per engine\n\n",
               static_cast<unsigned long long>(n_tuples));
@@ -134,47 +136,54 @@ int main(int argc, char** argv) {
   };
   std::vector<Round> rounds;
 
+  // One arm: tenant q registers on engine q % n_engines, so one engine
+  // is the shared layout and n_queries engines the dedicated one.
+  auto run_arm = [&](int n_queries, int n_engines, EngineStats* stats) {
+    std::vector<std::unique_ptr<QueryEngine>> engines;
+    for (int e = 0; e < n_engines; ++e) {
+      engines.push_back(std::make_unique<QueryEngine>(BenchSchema()));
+    }
+    stats->register_ms = 1e3 * ElapsedSec([&] {
+      for (int q = 0; q < n_queries; ++q) {
+        auto id = engines[q % n_engines]->Register(
+            templates[q % templates.size()]);
+        if (!id.ok()) {
+          std::fprintf(stderr, "register failed: %s\n",
+                       std::string(id.status().message()).c_str());
+          std::exit(1);
+        }
+      }
+    });
+    const double seconds = ElapsedSec([&] {
+      for (const std::vector<ValueId>& row : rows) {
+        for (const auto& engine : engines) {
+          engine->ObserveTuple(TupleRef(row.data(), row.size()));
+        }
+      }
+    });
+    for (const auto& engine : engines) {
+      stats->synopses += engine->num_synopses();
+      stats->memory_bytes += engine->TotalSynopsisMemoryBytes();
+    }
+    stats->ingest_mtps = static_cast<double>(n_tuples) / seconds / 1e6;
+    return engines;
+  };
+
   for (int n_queries : fleet_sizes) {
     Round round;
     round.n_queries = n_queries;
-    QueryEngine shared_engine(BenchSchema());
-    QueryEngine dedicated_engine(BenchSchema(), QueryEngineOptions{false});
-    struct Arm {
-      QueryEngine* engine;
-      EngineStats* stats;
-    };
-    for (Arm arm : {Arm{&shared_engine, &round.sharing},
-                    Arm{&dedicated_engine, &round.dedicated}}) {
-      arm.stats->register_ms = 1e3 * ElapsedSec([&] {
-        for (int q = 0; q < n_queries; ++q) {
-          auto id = arm.engine->Register(templates[q % templates.size()]);
-          if (!id.ok()) {
-            std::fprintf(stderr, "register failed: %s\n",
-                         std::string(id.status().message()).c_str());
-            std::exit(1);
-          }
-        }
-      });
-      const double seconds = ElapsedSec([&] {
-        for (const std::vector<ValueId>& row : rows) {
-          arm.engine->ObserveTuple(TupleRef(row.data(), row.size()));
-        }
-      });
-      arm.stats->synopses = arm.engine->num_synopses();
-      arm.stats->memory_bytes = arm.engine->TotalSynopsisMemoryBytes();
-      arm.stats->ingest_mtps =
-          static_cast<double>(n_tuples) / seconds / 1e6;
-    }
+    const auto shared = run_arm(n_queries, 1, &round.sharing);
+    const auto dedicated = run_arm(n_queries, n_queries, &round.dedicated);
 
     // Self-verification: sharing must be invisible in the answers. All
     // templates are NIPS sketches, whose serialization is order-stable,
-    // so we can demand byte-identical estimator state per query — not
+    // so we can demand byte-identical estimator state per tenant — not
     // just equal doubles.
     for (QueryId id = 0; id < n_queries; ++id) {
-      auto a = shared_engine.Answer(id);
-      auto b = dedicated_engine.Answer(id);
-      auto ea = shared_engine.Estimator(id);
-      auto eb = dedicated_engine.Estimator(id);
+      auto a = shared[0]->Answer(id);
+      auto b = dedicated[id]->Answer(0);
+      auto ea = shared[0]->Estimator(id);
+      auto eb = dedicated[id]->Estimator(0);
       auto sa = ea.ok() ? (*ea)->SerializeState() : StatusOr<std::string>(ea.status());
       auto sb = eb.ok() ? (*eb)->SerializeState() : StatusOr<std::string>(eb.status());
       if (!a.ok() || !b.ok() || *a != *b || !sa.ok() || !sb.ok() ||
@@ -213,9 +222,13 @@ int main(int argc, char** argv) {
          << "  \"bench\": \"multiquery_scaling\",\n"
          << "  \"n_tuples\": " << n_tuples << ",\n"
          << "  \"templates\": " << templates.size() << ",\n"
-         << "  \"note\": \"every round verified: each of the N queries "
-         << "answers bit-identically with sharing on and off before the "
-         << "row is reported\",\n"
+         << "  \"host_cpus\": " << std::thread::hardware_concurrency()
+         << ",\n"
+         << "  \"trials\": 1,\n"
+         << "  \"note\": \"dedicated = N engines with one query each; "
+         << "every round verified: each of the N queries answers "
+         << "bit-identically from the shared engine and from its own "
+         << "engine before the row is reported\",\n"
          << "  \"rounds\": [\n";
     for (size_t i = 0; i < rounds.size(); ++i) {
       const Round& r = rounds[i];

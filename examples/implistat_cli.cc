@@ -52,8 +52,6 @@ int Usage(const char* argv0) {
       << "  --metrics-every N     progress line to stderr every N tuples\n"
       << "  --metrics-json PATH   final JSON metrics snapshot\n"
       << "  --metrics-prom PATH   final Prometheus-text metrics snapshot\n"
-      << "  --no-query-sharing    dedicated estimator per query (disable\n"
-      << "                        the shared synopsis store)\n"
       << "  --trigger FILE        install CREATE TRIGGER statements (';'-\n"
       << "                        separated) evaluated while streaming;\n"
       << "                        firings print to stdout; repeatable\n"
@@ -89,7 +87,6 @@ int main(int argc, char** argv) {
   std::string metrics_json_path;
   std::string metrics_prom_path;
   std::vector<std::string> trigger_statements;
-  QueryEngineOptions engine_options;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -124,8 +121,6 @@ int main(int argc, char** argv) {
       const char* v = take_value("--metrics-prom");
       if (v == nullptr) return 2;
       metrics_prom_path = v;
-    } else if (arg == "--no-query-sharing") {
-      engine_options.query_sharing = false;
     } else if (arg == "--trigger") {
       const char* v = take_value("--trigger");
       if (v == nullptr) return 2;
@@ -198,7 +193,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  QueryEngine engine(table->schema, engine_options);
+  QueryEngine engine(table->schema);
   // Attach the dictionaries so checkpoints carry them.
   if (Status status = engine.SetDictionaries(table->dictionaries);
       !status.ok()) {

@@ -74,8 +74,6 @@ int Usage(const char* argv0) {
       << "  --trace-json PATH     dump recorded spans as Chrome\n"
       << "                        trace_event JSON (Perfetto-loadable)\n"
       << "                        to PATH on shutdown\n"
-      << "  --no-query-sharing    dedicated estimator per query (disable\n"
-      << "                        the shared synopsis store)\n"
       << "  --trigger FILE        install CREATE TRIGGER statements (';'-\n"
       << "                        separated) before serving; repeatable\n"
       << "  --trigger-expr STR    one CREATE TRIGGER statement inline;\n"
@@ -106,7 +104,6 @@ int main(int argc, char** argv) {
   int trace_sample = -1;  // -1: keep the compiled-in default (64)
   std::string trace_json_path;
   std::vector<std::string> trigger_statements;
-  QueryEngineOptions engine_options;
   std::vector<cluster::PeerConfig> peers;
   cluster::SupervisorOptions supervisor_options;
   std::vector<std::string> positional;
@@ -167,8 +164,6 @@ int main(int argc, char** argv) {
       const char* v = take_value("--trace-json");
       if (v == nullptr) return 2;
       trace_json_path = v;
-    } else if (arg == "--no-query-sharing") {
-      engine_options.query_sharing = false;
     } else if (arg == "--trigger") {
       const char* v = take_value("--trigger");
       if (v == nullptr) return 2;
@@ -265,7 +260,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  QueryEngine engine(table->schema, engine_options);
+  QueryEngine engine(table->schema);
   if (Status status = engine.SetDictionaries(table->dictionaries);
       !status.ok()) {
     std::cerr << "dictionary error: " << status << "\n";

@@ -35,6 +35,7 @@ class ExactImplicationCounter final : public ImplicationEstimator {
     return static_cast<double>(SupportedDistinct());
   }
   double EstimateStdError() const override { return 0.0; }  // exact
+  double EstimateNonImplicationStdError() const override { return 0.0; }
   size_t MemoryBytes() const override;
   std::string name() const override { return "Exact"; }
 

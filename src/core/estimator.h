@@ -57,6 +57,11 @@ class ImplicationEstimator {
   /// when unknown — the default for the sampling baselines.
   virtual double EstimateStdError() const { return -1.0; }
 
+  /// 1σ error bar on EstimateNonImplicationCount, under the same
+  /// conventions as EstimateStdError: what a complement (~S) answer
+  /// carries. Negative when unknown.
+  virtual double EstimateNonImplicationStdError() const { return -1.0; }
+
   /// Estimate of F0_sup(A): distinct itemsets meeting the minimum support.
   /// Negative when the estimator cannot answer.
   virtual double EstimateSupportedDistinct() const { return -1.0; }

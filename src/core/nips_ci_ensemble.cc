@@ -166,6 +166,11 @@ double NipsCi::EstimateStdError() const {
   return CiEnsembleStdError(std::span<const Nips>(bitmaps_)).implication;
 }
 
+double NipsCi::EstimateNonImplicationStdError() const {
+  FlushMetrics();
+  return CiEnsembleStdError(std::span<const Nips>(bitmaps_)).non_implication;
+}
+
 Status NipsCi::Merge(const NipsCi& other) {
   if (!(conditions_ == other.conditions_)) {
     return Status::InvalidArgument("NipsCi::Merge: conditions differ");

@@ -52,6 +52,8 @@ class NipsCi final : public ImplicationEstimator {
   /// Leave-one-bitmap-out jackknife 1σ on the implication count (see
   /// core/ci.h); 0 for m = 1.
   double EstimateStdError() const override;
+  /// The same jackknife's 1σ on the non-implication count.
+  double EstimateNonImplicationStdError() const override;
   /// O(m): each bitmap keeps its own count (core/nips.h).
   size_t MemoryBytes() const override;
   /// The same figure by walking every fringe cell; for tests.

@@ -75,6 +75,10 @@ class InstrumentedEstimator final : public ImplicationEstimator {
     Flush();
     return inner_->EstimateStdError();
   }
+  double EstimateNonImplicationStdError() const override {
+    Flush();
+    return inner_->EstimateNonImplicationStdError();
+  }
   size_t MemoryBytes() const override {
     Flush();
     return inner_->MemoryBytes();

@@ -102,8 +102,8 @@ uint64_t SchemaFingerprint(const Schema& schema) {
   return h;
 }
 
-QueryEngine::QueryEngine(Schema schema, QueryEngineOptions options)
-    : schema_(std::move(schema)), options_(options), store_(&schema_) {}
+QueryEngine::QueryEngine(Schema schema)
+    : schema_(std::move(schema)), store_(&schema_) {}
 
 StatusOr<QueryId> QueryEngine::RegisterSql(
     std::string_view text,
@@ -148,34 +148,32 @@ StatusOr<QueryId> QueryEngine::Register(ImplicationQuerySpec spec) {
   }
 
   RegisteredQuery query;
-  if (options_.query_sharing) {
-    // Exact-key hit: an existing synopsis already maintains precisely
-    // this statistic — bind to it and skip the allocation entirely.
-    const std::string key = CanonicalSynopsisKey(
-        a_set, b_set, spec.where.get(), spec.conditions, spec.estimator);
-    const SynopsisId hit = store_.Find(key);
-    if (hit != -1) {
-      store_.AddRef(hit);
-      query.binding = QueryBinding::kShared;
-      query.synopsis = hit;
+  // Exact-key hit: an existing synopsis already maintains precisely
+  // this statistic — bind to it and skip the allocation entirely.
+  const std::string key = CanonicalSynopsisKey(
+      a_set, b_set, spec.where.get(), spec.conditions, spec.estimator);
+  const SynopsisId hit = store_.Find(key);
+  if (hit != -1) {
+    store_.AddRef(hit);
+    query.binding = QueryBinding::kShared;
+    query.synopsis = hit;
+    query.spec = std::move(spec);
+    queries_.push_back(std::move(query));
+    SharingMetrics::Get().queries_shared_total->Increment();
+    return static_cast<QueryId>(queries_.size()) - 1;
+  }
+  if (spec.allow_derived) {
+    const DerivationSources sources =
+        DeriveFromSynopses(a_set, b_set, spec.where.get(), spec.conditions,
+                           spec.estimator, spec.complement, store_);
+    if (sources.viable()) {
+      for (SynopsisId id : DistinctSources(sources)) store_.AddRef(id);
+      query.binding = QueryBinding::kDerived;
+      query.synopsis = sources.primary();
+      query.derivation = sources;
       query.spec = std::move(spec);
       queries_.push_back(std::move(query));
-      SharingMetrics::Get().queries_shared_total->Increment();
       return static_cast<QueryId>(queries_.size()) - 1;
-    }
-    if (spec.allow_derived) {
-      const DerivationSources sources =
-          DeriveFromSynopses(a_set, b_set, spec.where.get(), spec.conditions,
-                             spec.estimator, spec.complement, store_);
-      if (sources.viable()) {
-        for (SynopsisId id : DistinctSources(sources)) store_.AddRef(id);
-        query.binding = QueryBinding::kDerived;
-        query.synopsis = sources.primary();
-        query.derivation = sources;
-        query.spec = std::move(spec);
-        queries_.push_back(std::move(query));
-        return static_cast<QueryId>(queries_.size()) - 1;
-      }
     }
   }
 
@@ -371,7 +369,9 @@ StatusOr<QueryAnswer> QueryEngine::AnswerEx(QueryId id) const {
   } else {
     answer.estimate = est->EstimateImplicationCount();
   }
-  answer.std_error = est->EstimateStdError();
+  answer.std_error = query.spec.complement
+                         ? est->EstimateNonImplicationStdError()
+                         : est->EstimateStdError();
   return answer;
 }
 

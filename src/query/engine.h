@@ -20,9 +20,6 @@
 //
 // ObserveTuple/ObserveStream iterate synopses, not queries, so a WHERE
 // clause shared by a thousand queries is evaluated once per tuple.
-// Sharing is on by default; QueryEngineOptions::query_sharing = false
-// (the --no-query-sharing flag) restores the degenerate 1:1 layout for
-// A/B tests and bisection.
 
 #ifndef IMPLISTAT_QUERY_ENGINE_H_
 #define IMPLISTAT_QUERY_ENGINE_H_
@@ -50,19 +47,13 @@ using QueryId = int;
 /// the kQueryEngineV2 checkpoint format — append only.
 enum class QueryBinding : uint8_t { kOwner = 0, kShared = 1, kDerived = 2 };
 
-struct QueryEngineOptions {
-  /// Share synopses between key-identical queries and run the entailment
-  /// pass for allow_derived ones. Off = every query gets a dedicated
-  /// estimator (the pre-refactor behavior).
-  bool query_sharing = true;
-};
-
 /// A query's full answer: the estimate plus the derivation metadata the
 /// wire QUERY response carries.
 struct QueryAnswer {
   double estimate = 0;
-  /// 1σ error bar from the estimator; for derived answers, the bound
-  /// half-width (upper - lower) / 2. Negative = unquantified.
+  /// 1σ error bar from the estimator, on ~S for complement queries; for
+  /// derived answers, the bound half-width (upper - lower) / 2.
+  /// Negative = unquantified.
   double std_error = -1;
   bool derived = false;
   /// Entailment bounds; only meaningful when derived.
@@ -72,7 +63,7 @@ struct QueryAnswer {
 
 class QueryEngine {
  public:
-  explicit QueryEngine(Schema schema, QueryEngineOptions options = {});
+  explicit QueryEngine(Schema schema);
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
@@ -201,14 +192,12 @@ class QueryEngine {
   const Schema& schema() const { return schema_; }
   uint64_t tuples_seen() const { return tuples_; }
   int num_queries() const { return static_cast<int>(queries_.size()); }
-  /// Live (estimator-holding) synopses. Equal to the number of active
-  /// queries with sharing off; sub-linear in it with sharing on.
+  /// Live (estimator-holding) synopses.
   int num_synopses() const { return store_.num_live(); }
   /// Memory over live synopses, each shared estimator counted once.
   uint64_t TotalSynopsisMemoryBytes() const {
     return store_.TotalMemoryBytes();
   }
-  bool query_sharing() const { return options_.query_sharing; }
 
   // --- Value dictionaries --------------------------------------------------
   //
@@ -293,7 +282,6 @@ class QueryEngine {
   QueryId FindActiveByLabel(std::string_view label) const;
 
   Schema schema_;
-  QueryEngineOptions options_;
   SynopsisStore store_;
   std::vector<RegisteredQuery> queries_;
   std::vector<ValueDictionary> dictionaries_;

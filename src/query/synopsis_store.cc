@@ -79,7 +79,8 @@ StatusOr<SynopsisId> SynopsisStore::Create(
   };
   const SynopsisId id = static_cast<SynopsisId>(entries_.size());
   // First live claim wins the Find slot; duplicates (a restored
-  // no-sharing checkpoint) stay addressable by id only.
+  // dedicated-layout checkpoint) stay addressable by id only until
+  // Release hands them the slot.
   by_key_.emplace(entry.key, id);
   entries_.push_back(std::move(entry));
   StoreMetrics::Get().synopses_total->Increment();
@@ -103,7 +104,16 @@ void SynopsisStore::Release(SynopsisId id) {
   if (--entry.refcount > 0) return;
   entry.estimator.reset();  // the memory returns; the id stays a tombstone
   auto it = by_key_.find(entry.key);
-  if (it != by_key_.end() && it->second == id) by_key_.erase(it);
+  if (it == by_key_.end() || it->second != id) return;
+  // A live duplicate of the key inherits the slot, lowest id first, so a
+  // later key-identical registration still shares it.
+  for (SynopsisId other = 0; other < size(); ++other) {
+    if (entries_[other].live() && entries_[other].key == entry.key) {
+      it->second = other;
+      return;
+    }
+  }
+  by_key_.erase(it);
 }
 
 int SynopsisStore::num_live() const {

@@ -81,8 +81,8 @@ class SynopsisStore {
   SynopsisStore& operator=(SynopsisStore&&) = default;
 
   /// The live entry whose key matches, or -1. Tombstones and entries
-  /// shadowed by an earlier identical key (possible after restoring a
-  /// no-sharing checkpoint) are not found.
+  /// shadowed by an earlier live identical key (possible after restoring
+  /// a dedicated-layout checkpoint) are not found.
   SynopsisId Find(const std::string& key) const;
 
   /// Builds a new entry (estimator constructed from conditions + config,
@@ -102,7 +102,9 @@ class SynopsisStore {
   void AddRef(SynopsisId id);
 
   /// Drops one reference; at zero the estimator is destroyed (memory
-  /// returns) and the id becomes a tombstone. Ids never shift.
+  /// returns) and the id becomes a tombstone. Ids never shift. If the
+  /// entry held the key's Find slot, the lowest-id live duplicate takes
+  /// it over.
   void Release(SynopsisId id);
 
   int size() const { return static_cast<int>(entries_.size()); }

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -51,10 +52,112 @@ void RegisterTenants(QueryEngine& engine) {
   ASSERT_TRUE(engine.Register(ExactSpec("tenant-c")).ok());
   ASSERT_TRUE(engine.Register(NipsSpec("sketch")).ok());
   ASSERT_EQ(engine.num_queries(), 4);
-  if (engine.query_sharing()) {
-    ASSERT_EQ(engine.num_synopses(), 2);
-  }
+  ASSERT_EQ(engine.num_synopses(), 2);
 }
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    auto nibble = [](char c) -> int {
+      return c <= '9' ? c - '0' : c - 'a' + 10;
+    };
+    bytes.push_back(
+        static_cast<char>(nibble(hex[i]) * 16 + nibble(hex[i + 1])));
+  }
+  return bytes;
+}
+
+// The four tenants of RegisterTenants in the dedicated layout (one
+// synopsis per query), checkpointed at 0 tuples. Engines that could turn
+// sharing off wrote this layout; a restored edge keeps serving it.
+constexpr std::string_view kDedicatedTenantsCheckpoint =
+    "494d5053020cd1156af3986f71816e51030000bd11494d5053020db111040101"
+    "000101000100000001000000000000f03f010000000101000040040000000200"
+    "00003a000000000000000000000000800f270000000000000000007b14ae47e1"
+    "7a843f7b14ae47e17a843f7b14ae47e17a843f9a9999999999b93f0000000000"
+    "0000001f494d50530202140100000001000000000000f03f0100000001000091"
+    "bd95420101000101000100000001000000000000f03f01000000010100004004"
+    "000000020000003a000000000000000000000000800f27000000000000000000"
+    "7b14ae47e17a843f7b14ae47e17a843f7b14ae47e17a843f9a9999999999b93f"
+    "00000000000000001f494d50530202140100000001000000000000f03f010000"
+    "0001000091bd95420101000101000100000001000000000000f03f0100000001"
+    "0100004004000000020000003a000000000000000000000000800f2700000000"
+    "00000000007b14ae47e17a843f7b14ae47e17a843f7b14ae47e17a843f9a9999"
+    "999999b93f00000000000000001f494d50530202140100000001000000000000"
+    "f03f0100000001000091bd95420101000101000100000001000000000000f03f"
+    "01000000010000000804000000020000003a000000000000000000000000800f"
+    "270000000000000000007b14ae47e17a843f7b14ae47e17a843f7b14ae47e17a"
+    "843f9a9999999999b93f0000000000000000ba0d494d50530201ae0d01080000"
+    "000000000000000000000100000001000000000000f03f010000000104000000"
+    "020000003a000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000100"
+    "000001000000000000f03f010000000104000000020000003a00000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000100000001000000000000f03f01"
+    "0000000104000000020000003a00000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000100000001000000000000f03f01000000010400000002000000"
+    "3a00000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000010000000100"
+    "0000000000f03f010000000104000000020000003a0000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000100000001000000000000f03f0100000001"
+    "04000000020000003a0000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000100000001000000000000f03f010000000104000000020000003a000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000001000000010000000000"
+    "00f03f010000000104000000020000003a000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000000000000547bf09985f8aa96040106536f75726365010b446573"
+    "74696e6174696f6e0100000001000000000000f03f0100000001000001000040"
+    "04000000020000003a000000000000000000000000800f270000000000000000"
+    "007b14ae47e17a843f7b14ae47e17a843f7b14ae47e17a843f9a9999999999b9"
+    "3f00000000000000000874656e616e742d610100000106536f75726365010b44"
+    "657374696e6174696f6e0100000001000000000000f03f010000000100000100"
+    "004004000000020000003a000000000000000000000000800f27000000000000"
+    "0000007b14ae47e17a843f7b14ae47e17a843f7b14ae47e17a843f9a99999999"
+    "99b93f00000000000000000874656e616e742d620100010106536f7572636501"
+    "0b44657374696e6174696f6e0100000001000000000000f03f01000000010000"
+    "0100004004000000020000003a000000000000000000000000800f2700000000"
+    "00000000007b14ae47e17a843f7b14ae47e17a843f7b14ae47e17a843f9a9999"
+    "999999b93f00000000000000000874656e616e742d630100020106536f757263"
+    "65010b44657374696e6174696f6e0100000001000000000000f03f0100000001"
+    "00000000000804000000020000003a000000000000000000000000800f270000"
+    "000000000000007b14ae47e17a843f7b14ae47e17a843f7b14ae47e17a843f9a"
+    "9999999999b93f000000000000000006736b6574636801000375dd8eac";
 
 std::vector<ValueId> Row(uint64_t i) {
   return {static_cast<ValueId>(i % 97),
@@ -83,8 +186,7 @@ SupervisorOptions TestOptions() {
 
 class Edge {
  public:
-  explicit Edge(QueryEngineOptions options = {})
-      : engine_(TestSchema(), options) {}
+  Edge() : engine_(TestSchema()) {}
   ~Edge() {
     if (thread_.joinable()) {
       server_->Shutdown();
@@ -159,16 +261,20 @@ TEST(ClusterSharingTest, SharedSynopsisFoldsOncePerPoll) {
 }
 
 TEST(ClusterSharingTest, MixedFleetSharingAndDedicatedEdgesConverge) {
-  // Sharing is a per-process layout choice, invisible on the wire: an
-  // edge running --no-query-sharing serves the same SNAPSHOT bytes per
-  // query id, so a sharing aggregator folds it without noticing.
+  // The synopsis layout is per process and invisible on the wire: an
+  // edge restored from a dedicated-layout checkpoint serves the same
+  // SNAPSHOT bytes per query id, so a sharing aggregator folds it
+  // without noticing.
   Edge sharing_edge;
   RegisterTenants(sharing_edge.engine());
   FeedLocal(sharing_edge.engine(), 0, 500);
   sharing_edge.Start();
 
-  Edge dedicated_edge{QueryEngineOptions{false}};
-  RegisterTenants(dedicated_edge.engine());
+  Edge dedicated_edge;
+  ASSERT_TRUE(dedicated_edge.engine()
+                  .RestoreState(FromHex(kDedicatedTenantsCheckpoint))
+                  .ok());
+  ASSERT_EQ(dedicated_edge.engine().num_queries(), 4);
   ASSERT_EQ(dedicated_edge.engine().num_synopses(), 4);  // 1:1 layout
   FeedLocal(dedicated_edge.engine(), 500, 1000);
   dedicated_edge.Start();

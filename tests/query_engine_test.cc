@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
+#include "core/ci.h"
+#include "core/nips_ci_ensemble.h"
+#include "obs/instrumented_estimator.h"
 #include "stream/csv_io.h"
 
 namespace implistat {
@@ -295,6 +301,63 @@ TEST_F(EngineTable1Test, AllEstimatorKindsRegister) {
   for (QueryId id = 0; id < engine_->num_queries(); ++id) {
     EXPECT_TRUE(engine_->Answer(id).ok());
   }
+}
+
+// A complement (~S) answer carries ~S's own error bar, not S's: NIPS/CI's
+// jackknife computes both, and AnswerEx must serve the one that matches
+// the estimate. Read through the engine's metrics wrapper, which must
+// forward the readout.
+TEST(EngineStdErrorTest, ComplementAnswersCarryTheNonImplicationBar) {
+  QueryEngine engine(Schema({{"Source", 4096}, {"Destination", 64}}));
+  auto spec = [](EstimatorKind kind, bool complement) {
+    ImplicationQuerySpec spec;
+    spec.a_attributes = {"Source"};
+    spec.b_attributes = {"Destination"};
+    spec.conditions.max_multiplicity = 1;
+    spec.conditions.min_support = 1;
+    spec.conditions.min_top_confidence = 1.0;
+    spec.conditions.confidence_c = 1;
+    spec.estimator.kind = kind;
+    spec.complement = complement;
+    return spec;
+  };
+  const QueryId nips_s = engine.Register(spec(EstimatorKind::kNipsCi, false))
+                             .value();
+  const QueryId nips_not_s =
+      engine.Register(spec(EstimatorKind::kNipsCi, true)).value();
+  const QueryId exact_not_s =
+      engine.Register(spec(EstimatorKind::kExact, true)).value();
+  const QueryId ds_not_s =
+      engine.Register(spec(EstimatorKind::kDistinctSampling, true)).value();
+  // 3000 sources; every third one talks to many destinations.
+  for (uint64_t i = 0; i < 30000; ++i) {
+    const ValueId source = static_cast<ValueId>((i * 7919) % 3000);
+    const ValueId destination = static_cast<ValueId>(
+        source % 3 == 0 ? i % 64 : source % 64);
+    const std::vector<ValueId> row = {source, destination};
+    engine.ObserveTuple(TupleRef(row.data(), row.size()));
+  }
+
+  const ImplicationEstimator* served = engine.Estimator(nips_not_s).value();
+  if constexpr (obs::kMetricsEnabled) {
+    ASSERT_NE(dynamic_cast<const obs::InstrumentedEstimator*>(served),
+              nullptr);
+  }
+  const auto* nips = dynamic_cast<const NipsCi*>(obs::Unwrap(served));
+  ASSERT_NE(nips, nullptr);
+  const CiEstimate bars = CiEnsembleStdError(
+      std::span<const Nips>(&nips->bitmap(0), nips->num_bitmaps()));
+  ASSERT_GT(bars.non_implication, 0.0);
+
+  const QueryAnswer not_s = engine.AnswerEx(nips_not_s).value();
+  const QueryAnswer s = engine.AnswerEx(nips_s).value();
+  EXPECT_EQ(not_s.estimate, nips->EstimateNonImplicationCount());
+  EXPECT_EQ(not_s.std_error, bars.non_implication);  // bit for bit
+  EXPECT_EQ(s.std_error, bars.implication);
+  EXPECT_NE(not_s.std_error, s.std_error);
+
+  EXPECT_EQ(engine.AnswerEx(exact_not_s).value().std_error, 0.0);
+  EXPECT_EQ(engine.AnswerEx(ds_not_s).value().std_error, -1.0);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // query/entailment.h, the engine's multi-tenant registration path):
 //
 //   * key-identical queries bind one estimator and answer byte-identical
-//     to a dedicated run — with sharing on, off, and across a
-//     checkpoint → restore → re-share cycle;
+//     to a dedicated run (one engine per query), also across a
+//     checkpoint → restore → re-share cycle, and a restored dedicated
+//     layout (one synopsis per query) keeps its structure;
 //   * reference counting frees an estimator exactly when its last
 //     binding deregisters, and ids/labels behave (NotFound after
 //     deregistration, AlreadyExists on duplicate labels);
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "query/engine.h"
@@ -51,6 +53,46 @@ ImplicationQuerySpec Spec(std::vector<std::string> a,
   return spec;
 }
 
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    auto nibble = [](char c) -> int {
+      return c <= '9' ? c - '0' : c - 'a' + 10;
+    };
+    bytes.push_back(
+        static_cast<char>(nibble(hex[i]) * 16 + nibble(hex[i + 1])));
+  }
+  return bytes;
+}
+
+// A dedicated-layout checkpoint: two key-identical Exact queries
+// Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2), each owning its own
+// synopsis, after Table 1 (no dictionaries). Engines that could turn
+// sharing off wrote this layout, and restore must keep accepting it.
+constexpr std::string_view kDedicatedTable1Checkpoint =
+    "494d5053020c9b05e18c430ae66d3fe4040800a103494d5053020d9503020101"
+    "0201000005000000019a9999999999e93f020000000101000008040000000200"
+    "00003a000000000b00000000000000800f270000000000000000007b14ae47e1"
+    "7a843f7b14ae47e17a843f7b14ae47e17a843f9a9999999999b93f0000000000"
+    "00000064494d505302025905000000019a9999999999e93f0200000001080302"
+    "0000000000000004030000000100010001000000000000000101000000000001"
+    "0101000000000000000100000000000000000301000000000001010000000000"
+    "00000003cc09701c01010201000005000000019a9999999999e93f0200000001"
+    "0100000804000000020000003a000000000b00000000000000800f2700000000"
+    "00000000007b14ae47e17a843f7b14ae47e17a843f7b14ae47e17a843f9a9999"
+    "999999b93f000000000000000064494d505302025905000000019a9999999999"
+    "e93f020000000108030200000000000000040300000001000100010000000000"
+    "0000010100000000000101010000000000000001000000000000000003010000"
+    "0000000101000000000000000003cc09701c9c127e9c02010753657276696365"
+    "0106536f7572636505000000019a9999999999e93f0200000001000001000008"
+    "04000000020000003a000000000b00000000000000800f270000000000000000"
+    "007b14ae47e17a843f7b14ae47e17a843f7b14ae47e17a843f9a9999999999b9"
+    "3f0000000000000000000100000107536572766963650106536f757263650500"
+    "0000019a9999999999e93f020000000100000100000804000000020000003a00"
+    "0000000b00000000000000800f270000000000000000007b14ae47e17a843f7b"
+    "14ae47e17a843f7b14ae47e17a843f9a9999999999b93f000000000000000000"
+    "01000130355f53";
+
 class SharingTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -69,40 +111,36 @@ class SharingTest : public ::testing::Test {
 
 // The tentpole claim: a shared binding answers byte-for-byte what a
 // dedicated estimator would, because it IS the same estimator fed the
-// same observation sequence. Compared against a --no-query-sharing
-// engine down to the serialized estimator state.
+// same observation sequence. Each query is compared against its own
+// one-query engine down to the serialized estimator state.
 TEST_F(SharingTest, SharedAnswersAreByteIdenticalToDedicated) {
-  QueryEngine shared(table_->schema);  // sharing defaults on
-  QueryEngine dedicated(table_->schema, QueryEngineOptions{false});
-  for (QueryEngine* engine : {&shared, &dedicated}) {
-    ASSERT_TRUE(
-        engine->Register(Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2,
-                              EstimatorKind::kNipsCi)).ok());
-    ASSERT_TRUE(
-        engine->Register(Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2,
-                              EstimatorKind::kNipsCi)).ok());
-    Feed(*engine);
-  }
-  EXPECT_TRUE(shared.query_sharing());
-  EXPECT_FALSE(dedicated.query_sharing());
+  const ImplicationQuerySpec spec =
+      Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2, EstimatorKind::kNipsCi);
+  QueryEngine shared(table_->schema);
+  ASSERT_TRUE(shared.Register(spec).ok());
+  ASSERT_TRUE(shared.Register(spec).ok());
+  Feed(shared);
   EXPECT_EQ(shared.num_synopses(), 1);
-  EXPECT_EQ(dedicated.num_synopses(), 2);
   EXPECT_EQ(shared.Binding(0).value(), QueryBinding::kOwner);
   EXPECT_EQ(shared.Binding(1).value(), QueryBinding::kShared);
   EXPECT_EQ(shared.SynopsisOf(0).value(), shared.SynopsisOf(1).value());
 
+  uint64_t dedicated_bytes = 0;
   for (QueryId id : {0, 1}) {
+    QueryEngine dedicated(table_->schema);
+    ASSERT_TRUE(dedicated.Register(spec).ok());
+    Feed(dedicated);
+    dedicated_bytes += dedicated.TotalSynopsisMemoryBytes();
     // Bitwise double equality, not a tolerance: sharing must be
     // invisible in the answers.
-    EXPECT_EQ(shared.Answer(id).value(), dedicated.Answer(id).value());
+    EXPECT_EQ(shared.Answer(id).value(), dedicated.Answer(0).value());
     auto shared_state = shared.Estimator(id).value()->SerializeState();
-    auto dedicated_state = dedicated.Estimator(id).value()->SerializeState();
+    auto dedicated_state = dedicated.Estimator(0).value()->SerializeState();
     ASSERT_TRUE(shared_state.ok() && dedicated_state.ok());
     EXPECT_EQ(*shared_state, *dedicated_state) << "query " << id;
   }
   // One estimator instead of two: the memory ratio the bench gates on.
-  EXPECT_LT(shared.TotalSynopsisMemoryBytes(),
-            dedicated.TotalSynopsisMemoryBytes());
+  EXPECT_LT(shared.TotalSynopsisMemoryBytes(), dedicated_bytes);
 }
 
 // The synopsis key covers everything that changes the estimator's bytes;
@@ -253,31 +291,46 @@ TEST_F(SharingTest, CheckpointRestorePreservesSharingAndBytes) {
   EXPECT_EQ(restored.Answer(*q4).value(), restored.Answer(0).value());
 }
 
-// The checkpoint's recorded structure wins over the restoring engine's
-// flag, in both directions: restore replays history, it does not
-// re-optimize it.
-TEST_F(SharingTest, RestoreHonorsCheckpointStructureNotTheFlag) {
-  auto build = [&](bool sharing) {
-    QueryEngine engine(table_->schema, QueryEngineOptions{sharing});
-    EXPECT_TRUE(engine.Register(Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2))
-                    .ok());
-    EXPECT_TRUE(engine.Register(Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2))
-                    .ok());
-    Feed(engine);
-    return engine.SerializeState();
-  };
-  auto shared_snapshot = build(true);
-  auto dedicated_snapshot = build(false);
-  ASSERT_TRUE(shared_snapshot.ok() && dedicated_snapshot.ok());
-
-  QueryEngine no_sharing(table_->schema, QueryEngineOptions{false});
-  ASSERT_TRUE(no_sharing.RestoreState(*shared_snapshot).ok());
-  EXPECT_EQ(no_sharing.num_synopses(), 1);
-
+// The checkpoint's recorded structure wins: a dedicated-layout
+// checkpoint restores as one synopsis per query, and restore replays
+// that history rather than re-optimizing it. New registrations still
+// share, and when every query bound to the first of the two key-identical
+// synopses deregisters, the second inherits the Find slot instead of a
+// fresh synopsis starting from zero.
+TEST_F(SharingTest, RestoreHonorsDedicatedCheckpointStructure) {
   QueryEngine sharing(table_->schema);
-  ASSERT_TRUE(sharing.RestoreState(*dedicated_snapshot).ok());
-  EXPECT_EQ(sharing.num_synopses(), 2);
-  EXPECT_EQ(sharing.Answer(0).value(), no_sharing.Answer(0).value());
+  ASSERT_TRUE(sharing.Register(Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2))
+                  .ok());
+  Feed(sharing);
+
+  QueryEngine restored(table_->schema);
+  ASSERT_TRUE(
+      restored.RestoreState(FromHex(kDedicatedTable1Checkpoint)).ok());
+  EXPECT_EQ(restored.num_queries(), 2);
+  EXPECT_EQ(restored.num_synopses(), 2);
+  EXPECT_EQ(restored.tuples_seen(), sharing.tuples_seen());
+  const SynopsisId first = restored.SynopsisOf(0).value();
+  const SynopsisId second = restored.SynopsisOf(1).value();
+  EXPECT_NE(first, second);
+  for (QueryId id : {0, 1}) {
+    EXPECT_EQ(restored.Binding(id).value(), QueryBinding::kOwner);
+    EXPECT_EQ(restored.Answer(id).value(), sharing.Answer(0).value());
+  }
+  auto q2 = restored.Register(Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2));
+  ASSERT_TRUE(q2.ok());
+  EXPECT_EQ(restored.Binding(*q2).value(), QueryBinding::kShared);
+  EXPECT_EQ(restored.SynopsisOf(*q2).value(), first);
+  EXPECT_EQ(restored.num_synopses(), 2);
+
+  ASSERT_TRUE(restored.Deregister(0).ok());
+  ASSERT_TRUE(restored.Deregister(*q2).ok());
+  EXPECT_EQ(restored.num_synopses(), 1);
+  auto q3 = restored.Register(Spec({"Service"}, {"Source"}, 5, 1, 0.8, 2));
+  ASSERT_TRUE(q3.ok());
+  EXPECT_EQ(restored.Binding(*q3).value(), QueryBinding::kShared);
+  EXPECT_EQ(restored.SynopsisOf(*q3).value(), second);
+  EXPECT_EQ(restored.num_synopses(), 1);
+  EXPECT_EQ(restored.Answer(*q3).value(), sharing.Answer(0).value());
 }
 
 // Entailment: a derived query allocates nothing and answers with bounds

@@ -13,6 +13,7 @@
 #ifndef IMPLISTAT_BENCH_BENCH_UTIL_H_
 #define IMPLISTAT_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -82,6 +83,22 @@ inline MeanStd Summarize(const std::vector<double>& xs) {
   for (double x : xs) var += (x - out.mean) * (x - out.mean);
   out.stddev = std::sqrt(var / static_cast<double>(xs.size()));
   return out;
+}
+
+/// The upper median (the middle element; for an even count, the larger
+/// of the two middle ones). `xs` must not be empty.
+inline double Median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
+}
+
+/// CMAKE_BUILD_TYPE of this build, for the headers of results files.
+inline const char* BuildType() {
+#ifdef IMPLISTAT_BUILD_TYPE
+  return IMPLISTAT_BUILD_TYPE;
+#else
+  return "unknown";
+#endif
 }
 
 inline double RelativeError(double actual, double measured) {

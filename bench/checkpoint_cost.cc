@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/distinct_sampling.h"
@@ -198,6 +199,9 @@ int main(int argc, char** argv) {
          << "  \"bench\": \"checkpoint_cost\",\n"
          << "  \"workload\": \"loyal/violator, 200k distinct itemsets\",\n"
          << "  \"n_tuples\": " << n << ",\n"
+         << "  \"host_cpus\": " << std::thread::hardware_concurrency()
+         << ",\n"
+         << "  \"build_type\": \"" << bench::BuildType() << "\",\n"
          << "  \"trials\": " << trials << ",\n"
          << "  \"note\": \"snapshot_bytes includes the versioned envelope "
          << "(magic, version, kind, length, CRC32C); every restore is "

@@ -14,9 +14,12 @@
 // one-query engine (same estimator bytes, same observation sequence) —
 // any mismatch aborts the bench.
 //
-// Scale knobs: IMPLISTAT_FULL=1 (200k tuples; default 20k). An optional
-// argv[1] names a JSON output file (results/BENCH_multiquery.json is
-// the checked-in copy; the CI bench-regression job gates on its
+// Timing: one discarded warm-up round at the smallest N, then each N
+// runs IMPLISTAT_TRIALS times (default 3) and reports the median
+// register and ingest times per arm; synopsis counts and memory repeat
+// exactly. Scale knobs: IMPLISTAT_FULL=1 (200k tuples; default 20k). An
+// optional argv[1] names a JSON output file (results/BENCH_multiquery.json
+// is the checked-in copy; the CI bench-regression job gates on its
 // N=1024 memory ratio).
 
 #include <chrono>
@@ -105,12 +108,13 @@ int main(int argc, char** argv) {
   using namespace implistat;
   const uint64_t n_tuples = bench::EnvFull() ? 200000 : 20000;
   const std::vector<int> fleet_sizes = {64, 256, 1024};
+  const int trials = bench::EnvTrials();
 
   bench::PrintHeaderBanner(
       "Multi-query scaling (shared synopsis store vs one engine per query)",
       "N tenants over 16 templates; answers verified bit-identical");
-  std::printf("n=%llu tuples per engine\n\n",
-              static_cast<unsigned long long>(n_tuples));
+  std::printf("n=%llu tuples per engine, trials=%d (medians)\n\n",
+              static_cast<unsigned long long>(n_tuples), trials);
 
   // One fixed tuple sequence for every engine: half the sources loyal to
   // one destination, half churning, services and hours cycling.
@@ -169,32 +173,56 @@ int main(int argc, char** argv) {
     return engines;
   };
 
+  // The first arms of a process pay page faults, allocator growth and
+  // cold caches; this round absorbs them and is not reported.
+  {
+    EngineStats ignored;
+    run_arm(fleet_sizes.front(), 1, &ignored);
+    run_arm(fleet_sizes.front(), fleet_sizes.front(), &ignored);
+  }
+
   for (int n_queries : fleet_sizes) {
     Round round;
     round.n_queries = n_queries;
-    const auto shared = run_arm(n_queries, 1, &round.sharing);
-    const auto dedicated = run_arm(n_queries, n_queries, &round.dedicated);
+    std::vector<double> register_ms[2], ingest_mtps[2];
+    for (int t = 0; t < trials; ++t) {
+      EngineStats shared_stats, dedicated_stats;
+      const auto shared = run_arm(n_queries, 1, &shared_stats);
+      const auto dedicated = run_arm(n_queries, n_queries, &dedicated_stats);
 
-    // Self-verification: sharing must be invisible in the answers. All
-    // templates are NIPS sketches, whose serialization is order-stable,
-    // so we can demand byte-identical estimator state per tenant — not
-    // just equal doubles.
-    for (QueryId id = 0; id < n_queries; ++id) {
-      auto a = shared[0]->Answer(id);
-      auto b = dedicated[id]->Answer(0);
-      auto ea = shared[0]->Estimator(id);
-      auto eb = dedicated[id]->Estimator(0);
-      auto sa = ea.ok() ? (*ea)->SerializeState() : StatusOr<std::string>(ea.status());
-      auto sb = eb.ok() ? (*eb)->SerializeState() : StatusOr<std::string>(eb.status());
-      if (!a.ok() || !b.ok() || *a != *b || !sa.ok() || !sb.ok() ||
-          *sa != *sb) {
-        std::fprintf(stderr,
-                     "answer divergence at N=%d query %d: shared vs "
-                     "dedicated are not bit-identical\n",
-                     n_queries, id);
-        return 1;
+      // Self-verification: sharing must be invisible in the answers. All
+      // templates are NIPS sketches, whose serialization is order-stable,
+      // so we can demand byte-identical estimator state per tenant — not
+      // just equal doubles.
+      for (QueryId id = 0; id < n_queries; ++id) {
+        auto a = shared[0]->Answer(id);
+        auto b = dedicated[id]->Answer(0);
+        auto ea = shared[0]->Estimator(id);
+        auto eb = dedicated[id]->Estimator(0);
+        auto sa = ea.ok() ? (*ea)->SerializeState()
+                          : StatusOr<std::string>(ea.status());
+        auto sb = eb.ok() ? (*eb)->SerializeState()
+                          : StatusOr<std::string>(eb.status());
+        if (!a.ok() || !b.ok() || *a != *b || !sa.ok() || !sb.ok() ||
+            *sa != *sb) {
+          std::fprintf(stderr,
+                       "answer divergence at N=%d query %d: shared vs "
+                       "dedicated are not bit-identical\n",
+                       n_queries, id);
+          return 1;
+        }
       }
+      round.sharing = shared_stats;
+      round.dedicated = dedicated_stats;
+      register_ms[0].push_back(shared_stats.register_ms);
+      register_ms[1].push_back(dedicated_stats.register_ms);
+      ingest_mtps[0].push_back(shared_stats.ingest_mtps);
+      ingest_mtps[1].push_back(dedicated_stats.ingest_mtps);
     }
+    round.sharing.register_ms = bench::Median(register_ms[0]);
+    round.dedicated.register_ms = bench::Median(register_ms[1]);
+    round.sharing.ingest_mtps = bench::Median(ingest_mtps[0]);
+    round.dedicated.ingest_mtps = bench::Median(ingest_mtps[1]);
     rounds.push_back(round);
   }
 
@@ -224,11 +252,13 @@ int main(int argc, char** argv) {
          << "  \"templates\": " << templates.size() << ",\n"
          << "  \"host_cpus\": " << std::thread::hardware_concurrency()
          << ",\n"
-         << "  \"trials\": 1,\n"
+         << "  \"build_type\": \"" << bench::BuildType() << "\",\n"
+         << "  \"trials\": " << trials << ",\n"
          << "  \"note\": \"dedicated = N engines with one query each; "
-         << "every round verified: each of the N queries answers "
-         << "bit-identically from the shared engine and from its own "
-         << "engine before the row is reported\",\n"
+         << "register_ms and ingest are medians over the trials, after "
+         << "one discarded warm-up round; every trial verified: each of "
+         << "the N queries answers bit-identically from the shared engine "
+         << "and from its own engine before the row is reported\",\n"
          << "  \"rounds\": [\n";
     for (size_t i = 0; i < rounds.size(); ++i) {
       const Round& r = rounds[i];

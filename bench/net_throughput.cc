@@ -1,26 +1,46 @@
-// Serving-layer loopback benchmark: remote ingest throughput vs. batch
-// size, and query round-trip latency, against a real Server on a real
-// socket. Self-verifying: an in-process twin engine observes the exact
-// same tuples, and every round's remote estimate must equal the twin's
-// bit for bit before a row is reported.
+// Serving-layer loopback benchmark: served ingest against in-process
+// ingest of the same tuples, per batch size, and query round-trip
+// latency, against a real Server on a real socket.
 //
-// Scale knobs: IMPLISTAT_FULL=1 (1M tuples per batch size; default
-// 100k). An optional argv[1] names a JSON output file
+// The whole process is pinned to the CPU it starts on, so the client,
+// reactor and writer threads take turns on one CPU and the served rate
+// pays for every stage of the serving path. For each batch size and
+// trial, a fresh chunk of tuples is generated and encoded into
+// OBSERVE_BATCH frames before any timing; then two arms ingest the
+// chunk, in alternating order:
+//   served:     the frames, pipelined up to kWindow in flight over TCP
+//               loopback, until every ack is in;
+//   in-process: ObserveStream of the same tuples into the twin engine.
+// The twin has seen exactly what the server's engine has, so both arms
+// do the same sketch work and their rate ratio prices the serving path
+// alone: framing, CRC32C, socket, batch decode, writer handoff, acks and
+// flushes. Host speed cancels out of the ratio; the CI bench-regression
+// job gates its median over trials.
+//
+// Self-verifying: after every batch size the remote estimate must equal
+// the twin's bit for bit, and the server must have seen every tuple.
+//
+// Scale knobs: IMPLISTAT_TRIALS (default 9), IMPLISTAT_FULL=1 (4M tuples
+// per trial; default 1M). An optional argv[1] names a JSON output file
 // (results/BENCH_net.json is the checked-in copy).
+
+#include <sched.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "net/client.h"
+#include "net/messages.h"
 #include "net/server.h"
+#include "net/wire.h"
 #include "query/engine.h"
 #include "util/random.h"
 
@@ -49,10 +69,18 @@ double NowUs() {
       .count();
 }
 
+// Frames in flight on the served arm; under the server's
+// max_pipeline_depth and the client's max_in_flight.
+constexpr size_t kWindow = 32;
+
 struct Row {
   size_t batch_size = 0;
-  uint64_t tuples = 0;
-  double observe_mtps = 0;  // million tuples/sec through the socket
+  uint64_t tuples_per_trial = 0;
+  double served_mtps = 0;     // median over trials
+  double inprocess_mtps = 0;  // median over trials
+  double ratio_median = 0;    // median of served / in-process per trial
+  double ratio_min = 0;
+  double ratio_max = 0;
   double query_p50_us = 0;
   double query_p99_us = 0;
 };
@@ -63,25 +91,83 @@ double Percentile(std::vector<double>& xs, double p) {
   return xs[std::min(at, xs.size() - 1)];
 }
 
+// One trial's chunk of the loyal/violator workload: flat (a, b) ids.
+std::vector<ValueId> MakeChunk(Rng& rng, uint64_t tuples) {
+  std::vector<ValueId> flat;
+  flat.reserve(2 * tuples);
+  for (uint64_t i = 0; i < tuples; ++i) {
+    const ValueId a = static_cast<ValueId>(rng.Uniform(200000));
+    const bool loyal = (a % 2) == 0;
+    flat.push_back(a);
+    flat.push_back(static_cast<ValueId>(loyal ? 7 : rng.Uniform(1000)));
+  }
+  return flat;
+}
+
+std::vector<std::string> EncodeFrames(const std::vector<ValueId>& flat,
+                                      size_t batch_size) {
+  std::vector<std::string> frames;
+  const size_t cells = 2 * batch_size;
+  for (size_t at = 0; at < flat.size(); at += cells) {
+    net::ObserveBatchRequest batch;
+    batch.encoding = net::ObserveEncoding::kIds;
+    batch.width = 2;
+    batch.ids.assign(flat.begin() + static_cast<std::ptrdiff_t>(at),
+                     flat.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(flat.size(), at + cells)));
+    frames.push_back(net::EncodeRequestFrame(
+        net::MsgType::kObserveBatch, net::EncodeObserveBatchRequest(batch)));
+  }
+  return frames;
+}
+
+// Pipelines every frame and waits for every ack; seconds, or -1 on error.
+double ServeFrames(net::Client& client,
+                   const std::vector<std::string>& frames) {
+  const double start = NowUs();
+  for (const std::string& frame : frames) {
+    if (client.in_flight() == kWindow && !client.Await().ok()) return -1;
+    if (!client.Submit(net::MsgType::kObserveBatch, frame, true).ok()) {
+      return -1;
+    }
+  }
+  while (client.in_flight() > 0) {
+    if (!client.Await().ok()) return -1;
+  }
+  return (NowUs() - start) / 1e6;
+}
+
 }  // namespace
 }  // namespace implistat
 
 int main(int argc, char** argv) {
   using namespace implistat;
-  const uint64_t n_per_round = bench::EnvFull() ? 1000000 : 100000;
+  const uint64_t n_per_trial = bench::EnvFull() ? 4000000 : 1000000;
+  const int trials = bench::EnvTrials(9);
   const std::vector<size_t> batch_sizes = {16, 256, 4096};
   constexpr int kQueryProbes = 200;
 
+  // Pin before any thread starts: the server's threads inherit it.
+  const int cpu = sched_getcpu();
+  cpu_set_t pinned;
+  CPU_ZERO(&pinned);
+  CPU_SET(cpu, &pinned);
+  if (cpu < 0 || sched_setaffinity(0, sizeof(pinned), &pinned) != 0) {
+    std::fprintf(stderr, "cannot pin to one CPU\n");
+    return 1;
+  }
+
   bench::PrintHeaderBanner(
-      "Serving-layer loopback throughput (observe tuples/sec, query RTT)",
-      "loyal/violator workload over TCP loopback; remote estimate "
-      "verified against an in-process twin every round");
-  std::printf("n=%llu tuples per batch size, query probes=%d\n\n",
-              static_cast<unsigned long long>(n_per_round), kQueryProbes);
+      "Serving-layer loopback ingest (served vs in-process) and query RTT",
+      "loyal/violator workload over TCP loopback on one pinned CPU; "
+      "remote estimate verified against the in-process twin");
+  std::printf("n=%llu tuples per trial, trials=%d, window=%zu frames, "
+              "query probes=%d\n\n",
+              static_cast<unsigned long long>(n_per_trial), trials, kWindow,
+              kQueryProbes);
 
   QueryEngine engine(BenchSchema());
-  auto registered = engine.Register(BenchSpec());
-  if (!registered.ok()) {
+  if (!engine.Register(BenchSpec()).ok()) {
     std::fprintf(stderr, "register failed\n");
     return 1;
   }
@@ -109,36 +195,43 @@ int main(int argc, char** argv) {
   for (size_t batch_size : batch_sizes) {
     Row row;
     row.batch_size = batch_size;
-    row.tuples = n_per_round;
-
-    net::ObserveBatchRequest batch;
-    batch.encoding = net::ObserveEncoding::kIds;
-    batch.width = 2;
-    batch.ids.reserve(batch_size * 2);
-
-    const double start_us = NowUs();
-    for (uint64_t i = 0; i < n_per_round; ++i) {
-      const ValueId a = static_cast<ValueId>(workload_rng.Uniform(200000));
-      const bool loyal = (a % 2) == 0;
-      const ValueId b = static_cast<ValueId>(
-          loyal ? 7 : workload_rng.Uniform(1000));
-      batch.ids.push_back(a);
-      batch.ids.push_back(b);
-      std::vector<ValueId> tuple = {a, b};
-      twin.ObserveTuple(TupleRef(tuple.data(), tuple.size()));
-      if (batch.num_tuples() >= batch_size || i + 1 == n_per_round) {
-        auto seen = client->ObserveBatch(batch);
-        if (!seen.ok()) {
-          std::fprintf(stderr, "observe failed: %s\n",
-                       std::string(seen.status().message()).c_str());
-          return 1;
-        }
-        batch.ids.clear();
+    row.tuples_per_trial = n_per_trial;
+    std::vector<double> served, inprocess, ratios;
+    for (int t = 0; t < trials; ++t) {
+      std::vector<ValueId> flat = MakeChunk(workload_rng, n_per_trial);
+      const std::vector<std::string> frames = EncodeFrames(flat, batch_size);
+      VectorStream stream(BenchSchema(), std::move(flat));
+      double served_s = 0;
+      double inprocess_s = 0;
+      auto serve = [&] { served_s = ServeFrames(*client, frames); };
+      auto observe = [&] {
+        const double start = NowUs();
+        if (!twin.ObserveStream(stream).ok()) std::exit(1);
+        inprocess_s = (NowUs() - start) / 1e6;
+      };
+      if (t % 2 == 0) {
+        serve();
+        observe();
+      } else {
+        observe();
+        serve();
       }
+      if (served_s < 0) {
+        std::fprintf(stderr, "served ingest failed at batch=%zu\n",
+                     batch_size);
+        return 1;
+      }
+      shipped_total += n_per_trial;
+      const double n = static_cast<double>(n_per_trial);
+      served.push_back(n / served_s / 1e6);
+      inprocess.push_back(n / inprocess_s / 1e6);
+      ratios.push_back(inprocess_s / served_s);
     }
-    row.observe_mtps =
-        static_cast<double>(n_per_round) / (NowUs() - start_us);
-    shipped_total += n_per_round;
+    row.served_mtps = bench::Median(served);
+    row.inprocess_mtps = bench::Median(inprocess);
+    row.ratio_median = bench::Median(ratios);
+    row.ratio_min = *std::min_element(ratios.begin(), ratios.end());
+    row.ratio_max = *std::max_element(ratios.begin(), ratios.end());
 
     // Query RTT against the grown state.
     std::vector<double> rtt_us;
@@ -178,12 +271,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("%-12s %12s %16s %14s %14s\n", "batch_size", "tuples",
-              "observe_Mtps", "query_p50_us", "query_p99_us");
+  std::printf("%-10s %12s %14s %12s %20s %13s %13s\n", "batch_size",
+              "served_Mtps", "inprocess_Mtps", "ratio_med", "ratio_range",
+              "query_p50_us", "query_p99_us");
   for (const Row& r : rows) {
-    std::printf("%-12zu %12llu %16.3f %14.1f %14.1f\n", r.batch_size,
-                static_cast<unsigned long long>(r.tuples), r.observe_mtps,
-                r.query_p50_us, r.query_p99_us);
+    std::printf("%-10zu %12.3f %14.3f %12.3f %9.3f-%-10.3f %13.1f %13.1f\n",
+                r.batch_size, r.served_mtps, r.inprocess_mtps, r.ratio_median,
+                r.ratio_min, r.ratio_max, r.query_p50_us, r.query_p99_us);
   }
   std::printf("\nall rounds verified against the in-process twin\n");
 
@@ -199,16 +293,27 @@ int main(int argc, char** argv) {
          << "TCP loopback\",\n"
          << "  \"host_cpus\": " << std::thread::hardware_concurrency()
          << ",\n"
-         << "  \"n_tuples_per_batch_size\": " << n_per_round << ",\n"
+         << "  \"pinned_cpus\": 1,\n"
+         << "  \"build_type\": \"" << bench::BuildType() << "\",\n"
+         << "  \"trials\": " << trials << ",\n"
+         << "  \"n_tuples_per_trial\": " << n_per_trial << ",\n"
+         << "  \"window_frames\": " << kWindow << ",\n"
          << "  \"query_probes\": " << kQueryProbes << ",\n"
-         << "  \"note\": \"single client, blocking round trips; every "
-         << "round's remote estimate verified byte-identical to an "
-         << "in-process twin engine\",\n"
+         << "  \"note\": \"all threads pinned to one CPU; per trial, "
+         << "served ingest of pre-encoded frames and in-process "
+         << "ObserveStream of the same tuples into the twin engine, in "
+         << "alternating order; rates and paired_ratio (in-process time / "
+         << "served time) are medians over trials; every batch size's "
+         << "remote estimate verified bit-identical to the twin\",\n"
          << "  \"rounds\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       json << "    {\"batch_size\": " << r.batch_size
-           << ", \"observe_million_tuples_per_sec\": " << r.observe_mtps
+           << ", \"observe_million_tuples_per_sec\": " << r.served_mtps
+           << ", \"inprocess_million_tuples_per_sec\": " << r.inprocess_mtps
+           << ", \"paired_ratio_median\": " << r.ratio_median
+           << ", \"paired_ratio_min\": " << r.ratio_min
+           << ", \"paired_ratio_max\": " << r.ratio_max
            << ", \"query_p50_us\": " << r.query_p50_us
            << ", \"query_p99_us\": " << r.query_p99_us << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";

@@ -125,11 +125,6 @@ std::vector<double> TrialSec(const std::vector<ValueId>& ids,
   return sec;
 }
 
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
-
 }  // namespace
 }  // namespace implistat
 
@@ -159,9 +154,10 @@ int main(int argc, char** argv) {
       ratios.push_back(sec[0][t] / sec[a][t]);
       extra_ns.push_back((sec[a][t] - sec[0][t]) * 1e9 / epochs);
     }
-    rounds.push_back(Round{arms[a],
-                           static_cast<double>(n) / Median(sec[a]) / 1e6,
-                           Median(ratios), std::max(0.0, Median(extra_ns))});
+    rounds.push_back(
+        Round{arms[a], static_cast<double>(n) / bench::Median(sec[a]) / 1e6,
+              bench::Median(ratios),
+              std::max(0.0, bench::Median(extra_ns))});
   }
   for (const Round& r : rounds) {
     std::printf("  %4llu triggers  %7.2f Mt/s  ratio %.3f  %8.0f ns/epoch "

@@ -263,6 +263,9 @@ Status AggregatorSupervisor::Init() {
       base_.push_back(std::move(base));
     }
   }
+  // The base is captured: from here on a write to the engine would be
+  // dropped by the next refold, so the engine refuses writes instead.
+  engine_->MarkAggregate();
   initialized_ = true;
   return Status::OK();
 }

@@ -182,7 +182,9 @@ class AggregatorSupervisor {
   /// from this thread; the supervisor never reads the engine again.
   /// FailedPrecondition, naming the query and its estimator, when a fold
   /// unit's kind cannot merge (a windowed or ISS query): every refold
-  /// would fail on it, so such an engine cannot be an aggregate.
+  /// would fail on it, so such an engine cannot be an aggregate. On
+  /// success the engine is marked an aggregate (QueryEngine::
+  /// MarkAggregate) and refuses writes, which the next refold would drop.
   Status Init();
 
   /// One supervision round at (monotonic) time `now_ms`: attempts every

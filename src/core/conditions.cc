@@ -1,6 +1,9 @@
 #include "core/conditions.h"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <memory>
 
 namespace implistat {
 
@@ -28,43 +31,97 @@ Status ImplicationConditions::Validate() const {
   return Status::OK();
 }
 
+PairList::PairList(const PairList& other) : PairList() { *this = other; }
+
+PairList& PairList::operator=(const PairList& other) {
+  if (this == &other) return *this;
+  Release();
+  // Like a vector copy, a spilled copy holds exactly its pairs.
+  Reserve(other.size_);
+  std::memcpy(data(), other.data(), other.size_ * sizeof(BCount));
+  size_ = other.size_;
+  return *this;
+}
+
+PairList::PairList(PairList&& other) noexcept
+    : size_(other.size_), capacity_(other.capacity_) {
+  if (spilled()) {
+    heap_ = other.heap_;
+  } else {
+    one_ = other.one_;
+  }
+  other.size_ = 0;
+  other.capacity_ = 1;
+}
+
+PairList& PairList::operator=(PairList&& other) noexcept {
+  if (this == &other) return *this;
+  FreeHeap();
+  size_ = other.size_;
+  capacity_ = other.capacity_;
+  if (spilled()) {
+    heap_ = other.heap_;
+  } else {
+    one_ = other.one_;
+  }
+  other.size_ = 0;
+  other.capacity_ = 1;
+  return *this;
+}
+
+void PairList::PushBack(ItemsetKey b, uint64_t count) {
+  if (size_ == capacity_) Grow(size_t{capacity_} * 2);
+  data()[size_++] = BCount{b, count};
+}
+
+void PairList::Reserve(size_t n) {
+  if (n > capacity_) Grow(n);
+}
+
+void PairList::Grow(size_t capacity) {
+  BCount* block = new BCount[capacity];
+  std::memcpy(block, data(), size_ * sizeof(BCount));
+  FreeHeap();
+  heap_ = block;
+  capacity_ = static_cast<uint32_t>(capacity);
+}
+
+void PairList::Release() {
+  FreeHeap();
+  size_ = 0;
+  capacity_ = 1;
+}
+
 bool ItemsetState::Observe(ItemsetKey b, const ImplicationConditions& cond) {
   ++support_;
   if (dirty_) return true;  // monotone: stays a non-implication
 
   if (!mult_exceeded_) {
-    auto it = std::find_if(
-        b_counts_.begin(), b_counts_.end(),
-        [b](const std::pair<ItemsetKey, uint64_t>& e) { return e.first == b; });
+    BCount* it = std::find_if(b_counts_.begin(), b_counts_.end(),
+                              [b](const BCount& e) { return e.b == b; });
     if (it != b_counts_.end()) {
-      ++it->second;
+      ++it->count;
     } else if (b_counts_.size() < cond.max_multiplicity) {
-      b_counts_.emplace_back(b, 1);
+      b_counts_.PushBack(b, 1);
       if (mult_ <= cond.max_multiplicity) ++mult_;
     } else if (cond.strict_multiplicity) {
       // A (K+1)-th distinct b: multiplicity condition is violated for good;
       // the individual pair counters are no longer needed.
       mult_exceeded_ = true;
       if (mult_ <= cond.max_multiplicity) ++mult_;
-      b_counts_.clear();
-      b_counts_.shrink_to_fit();
+      b_counts_.Release();
     } else if (unlimited_tracking_) {
-      b_counts_.emplace_back(b, 1);
+      b_counts_.PushBack(b, 1);
       if (mult_ <= cond.max_multiplicity) ++mult_;
     } else {
       // Tracking-bound mode: admit the newcomer only by evicting a counter
       // that is still at 1 (an established counter cannot be displaced by
       // a single occurrence). The support counter above is unaffected.
       if (mult_ <= cond.max_multiplicity) ++mult_;
-      auto victim = std::find_if(
-          b_counts_.begin(), b_counts_.end(),
-          [](const std::pair<ItemsetKey, uint64_t>& e) {
-            return e.second == 1;
-          });
-      if (victim != b_counts_.end()) {
-        victim->first = b;
-        victim->second = 1;
-      }
+      BCount* victim =
+          std::find_if(b_counts_.begin(), b_counts_.end(),
+                       [](const BCount& e) { return e.count == 1; });
+      if (victim != b_counts_.end()) victim->b = b;  // its count stays 1
     }
   }
 
@@ -77,23 +134,34 @@ bool ItemsetState::Observe(ItemsetKey b, const ImplicationConditions& cond) {
     dirty_ = true;
     dirty_reason_ =
         mult_exceeded_ ? DirtyReason::kMultiplicity : DirtyReason::kConfidence;
-    b_counts_.clear();
-    b_counts_.shrink_to_fit();
+    b_counts_.Release();
   }
   return dirty_;
 }
 
 double ItemsetState::TopConfidence(uint32_t c) const {
-  if (support_ == 0 || b_counts_.empty()) return 0.0;
-  // K is small, so copying the counts and partially sorting is cheap.
-  std::vector<uint64_t> counts;
-  counts.reserve(b_counts_.size());
-  for (const auto& [key, n] : b_counts_) counts.push_back(n);
-  size_t take = std::min<size_t>(c, counts.size());
-  std::partial_sort(counts.begin(), counts.begin() + take, counts.end(),
-                    std::greater<uint64_t>());
+  const size_t n = b_counts_.size();
+  if (support_ == 0 || n == 0) return 0.0;
   uint64_t sum = 0;
-  for (size_t i = 0; i < take; ++i) sum += counts[i];
+  if (c >= n) {
+    for (const BCount& e : b_counts_) sum += e.count;
+  } else {
+    // Partially sort a copy of the counts. K is small, so the copy fits on
+    // the stack; only longer lists (unlimited tracking) take the heap.
+    uint64_t stack[kTopConfidenceStackPairs];
+    std::unique_ptr<uint64_t[]> heap;
+    uint64_t* counts = stack;
+    if (n > kTopConfidenceStackPairs) {
+      heap.reset(new uint64_t[n]);
+      counts = heap.get();
+    }
+    std::transform(b_counts_.begin(), b_counts_.end(), counts,
+                   [](const BCount& e) { return e.count; });
+    std::partial_sort(counts, counts + c, counts + n,
+                      std::greater<uint64_t>());
+    for (size_t i = 0; i < c; ++i) sum += counts[i];
+  }
+  // An integer sum: the quotient does not depend on the summation order.
   return static_cast<double>(sum) / static_cast<double>(support_);
 }
 
@@ -135,41 +203,35 @@ void ItemsetState::Merge(const ItemsetState& other,
   }
   if (other.mult_exceeded_) mult_exceeded_ = true;
   if (dirty_) {
-    b_counts_.clear();
-    b_counts_.shrink_to_fit();
+    b_counts_.Release();
     return;
   }
   // Fold the other side's pair counters under this state's policy. The
   // per-pair counts add exactly when both sides tracked the pair.
   if (!mult_exceeded_) {
     for (const auto& [b, count] : other.b_counts_) {
-      auto it = std::find_if(
-          b_counts_.begin(), b_counts_.end(),
-          [b = b](const std::pair<ItemsetKey, uint64_t>& e) {
-            return e.first == b;
-          });
+      BCount* it = std::find_if(b_counts_.begin(), b_counts_.end(),
+                                [b = b](const BCount& e) { return e.b == b; });
       if (it != b_counts_.end()) {
-        it->second += count;
+        it->count += count;
       } else if (b_counts_.size() < cond.max_multiplicity ||
                  unlimited_tracking_) {
-        b_counts_.emplace_back(b, count);
+        b_counts_.PushBack(b, count);
         if (mult_ <= cond.max_multiplicity) ++mult_;
       } else if (cond.strict_multiplicity) {
         mult_exceeded_ = true;
         if (mult_ <= cond.max_multiplicity) ++mult_;
-        b_counts_.clear();
-        b_counts_.shrink_to_fit();
+        b_counts_.Release();
         break;
       } else {
         // Tracking-bound mode: displace a counter this newcomer outweighs.
-        auto victim = std::min_element(
-            b_counts_.begin(), b_counts_.end(),
-            [](const auto& x, const auto& y) { return x.second < y.second; });
+        BCount* victim =
+            std::min_element(b_counts_.begin(), b_counts_.end(),
+                             [](const BCount& x, const BCount& y) {
+                               return x.count < y.count;
+                             });
         if (mult_ <= cond.max_multiplicity) ++mult_;
-        if (victim->second < count) {
-          victim->first = b;
-          victim->second = count;
-        }
+        if (victim->count < count) *victim = BCount{b, count};
       }
     }
   }
@@ -182,8 +244,7 @@ void ItemsetState::Merge(const ItemsetState& other,
       dirty_reason_ = mult_exceeded_ ? DirtyReason::kMultiplicity
                                      : DirtyReason::kConfidence;
     }
-    b_counts_.clear();
-    b_counts_.shrink_to_fit();
+    b_counts_.Release();
   }
 }
 
@@ -215,20 +276,15 @@ StatusOr<ItemsetState> ItemsetState::Deserialize(ByteReader* in) {
   if (pairs > (uint64_t{1} << 24) || pairs > in->remaining() / 9) {
     return Status::InvalidArgument("ItemsetState: implausible pair count");
   }
-  state.b_counts_.reserve(pairs);
+  state.b_counts_.Reserve(pairs);
   for (uint64_t i = 0; i < pairs; ++i) {
     ItemsetKey b;
     uint64_t count;
     IMPLISTAT_RETURN_NOT_OK(in->ReadU64(&b));
     IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&count));
-    state.b_counts_.emplace_back(b, count);
+    state.b_counts_.PushBack(b, count);
   }
   return state;
-}
-
-size_t ItemsetState::MemoryBytes() const {
-  return sizeof(*this) +
-         b_counts_.capacity() * sizeof(std::pair<ItemsetKey, uint64_t>);
 }
 
 }  // namespace implistat

@@ -16,8 +16,8 @@
 #ifndef IMPLISTAT_CORE_CONDITIONS_H_
 #define IMPLISTAT_CORE_CONDITIONS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "stream/itemset.h"
 #include "util/serde.h"
@@ -67,6 +67,59 @@ enum class DirtyReason : uint8_t {
   kConfidence = 2,    // condition 3: γ_c(a→B) < γ
 };
 
+/// One tracked (a, b) pair: b and the support φ(a, b).
+struct BCount {
+  ItemsetKey b;
+  uint64_t count;
+};
+
+/// An itemset's (b, count) pairs in insertion order. The first pair is
+/// held inline, so the common itemset seen with a single b costs no heap
+/// block; from the second pair on the list lives in one heap block that
+/// grows by doubling. 24 bytes, the size of the std::vector it replaces.
+class PairList {
+ public:
+  PairList() : one_{0, 0} {}
+  PairList(const PairList& other);
+  PairList& operator=(const PairList& other);
+  PairList(PairList&& other) noexcept;
+  PairList& operator=(PairList&& other) noexcept;
+  ~PairList() { FreeHeap(); }
+
+  size_t size() const { return size_; }
+  BCount* begin() { return data(); }
+  BCount* end() { return data() + size_; }
+  const BCount* begin() const { return data(); }
+  const BCount* end() const { return data() + size_; }
+
+  void PushBack(ItemsetKey b, uint64_t count);
+  /// Makes room for `n` pairs in one heap block (n > 1; no-op otherwise).
+  void Reserve(size_t n);
+  /// Drops every pair and frees the heap block.
+  void Release();
+
+  /// Bytes of the heap block; 0 while the list fits inline.
+  size_t HeapBytes() const {
+    return spilled() ? size_t{capacity_} * sizeof(BCount) : 0;
+  }
+
+ private:
+  bool spilled() const { return capacity_ > 1; }
+  BCount* data() { return spilled() ? heap_ : &one_; }
+  const BCount* data() const { return spilled() ? heap_ : &one_; }
+  void Grow(size_t capacity);
+  void FreeHeap() {
+    if (spilled()) delete[] heap_;
+  }
+
+  union {
+    BCount one_;    // capacity_ == 1
+    BCount* heap_;  // capacity_ > 1
+  };
+  uint32_t size_ = 0;
+  uint32_t capacity_ = 1;
+};
+
 /// Tracks one itemset a of A: its support, the supports of the (a, b)
 /// pairs, and whether a is a known non-implication ("dirty").
 class ItemsetState {
@@ -104,7 +157,10 @@ class ItemsetState {
   uint32_t multiplicity() const { return mult_; }
 
   /// Sum of the c largest confidences φ(a,b)/φ(a); 0 when support is 0.
+  /// Allocates nothing unless more than kTopConfidenceStackPairs pairs are
+  /// tracked and c is below their number.
   double TopConfidence(uint32_t c) const;
+  static constexpr size_t kTopConfidenceStackPairs = 64;
 
   /// Folds another node's state for the same itemset into this one
   /// (distributed aggregation, §1-2: summaries are merged up a hierarchy
@@ -116,14 +172,15 @@ class ItemsetState {
   /// is merged-dirty iff some node-local prefix violated the conditions).
   void Merge(const ItemsetState& other, const ImplicationConditions& cond);
 
-  size_t MemoryBytes() const;
+  /// sizeof plus the pair list's heap block.
+  size_t MemoryBytes() const { return sizeof(*this) + b_counts_.HeapBytes(); }
 
   void SerializeTo(ByteWriter* out) const;
   static StatusOr<ItemsetState> Deserialize(ByteReader* in);
 
  private:
   uint64_t support_ = 0;
-  std::vector<std::pair<ItemsetKey, uint64_t>> b_counts_;
+  PairList b_counts_;
   uint32_t mult_ = 0;
   bool dirty_ = false;
   bool mult_exceeded_ = false;

@@ -1,6 +1,7 @@
 #include "core/fringe_cell.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -70,14 +71,65 @@ void FlushDirtyExclusionMetrics() {
   }
 }
 
+namespace {
+
+// The pair list's heap block; the rest of a state's bytes are its Entry's.
+size_t HeapBytes(const ItemsetState& state) {
+  return state.MemoryBytes() - sizeof(ItemsetState);
+}
+
+// Smallest encoding of one cell entry: a u64 key and a state with support
+// and pair count as 1-byte varints, a u32 multiplicity and three bools.
+constexpr size_t kMinEntryBytes = 8 + 1 + 4 + 3 + 1;
+
+}  // namespace
+
+std::vector<FringeCell::Entry>::iterator FringeCell::Find(ItemsetKey a) {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), a,
+      [](const Entry& e, ItemsetKey key) { return e.key < key; });
+}
+
+void FringeCell::ReserveFor(size_t n) {
+  if (n > entries_.capacity()) entries_.reserve(std::bit_ceil(n));
+}
+
+template <typename Run, typename KeyOf, typename MakeEntry>
+void FringeCell::InsertMissing(Run& run, size_t added, KeyOf key_of,
+                               MakeEntry make_entry) {
+  size_t i = entries_.size();  // end of the current run still to place
+  ReserveFor(i + added);
+  entries_.resize(i + added);
+  size_t w = entries_.size();  // end of the slots still to fill
+  size_t j = run.size();
+  // w − i new keys remain to place, all in run[0, j).
+  while (w > i) {
+    const ItemsetKey key = key_of(run[j - 1]);
+    if (i > 0 && entries_[i - 1].key >= key) {
+      if (entries_[i - 1].key == key) --j;  // shared: folded already
+      entries_[--w] = std::move(entries_[--i]);
+    } else {
+      entries_[--w] = make_entry(run[--j]);
+      pair_heap_bytes_ += HeapBytes(entries_[w].state);
+    }
+  }
+}
+
 FringeCell::Outcome FringeCell::Observe(ItemsetKey a, ItemsetKey b,
-                                        const ImplicationConditions& cond) {
-  auto [it, inserted] = items_.try_emplace(a);
-  ItemsetState& state = it->second;
-  const size_t state_before = inserted ? 0 : state.MemoryBytes();
+                                        const ImplicationConditions& cond,
+                                        uint64_t stamp) {
+  auto it = Find(a);
+  if (it == entries_.end() || it->key != a) {
+    const size_t at = static_cast<size_t>(it - entries_.begin());
+    ReserveFor(entries_.size() + 1);
+    it = entries_.insert(entries_.begin() + at, Entry{a, 0, ItemsetState()});
+  }
+  if (stamp != 0) it->stamp = stamp;
+  ItemsetState& state = it->state;
+  const size_t state_before = state.MemoryBytes();
   bool was_dirty = state.dirty();
   bool dirty = state.Observe(b, cond);
-  state_bytes_ += state.MemoryBytes() - state_before;
+  pair_heap_bytes_ += state.MemoryBytes() - state_before;
   if (state.supported(cond)) has_supported_ = true;
   if (dirty && !was_dirty) {
     IMPLISTAT_IF_METRICS(CountDirtyExclusion(state.dirty_reason()));
@@ -88,24 +140,35 @@ FringeCell::Outcome FringeCell::Observe(ItemsetKey a, ItemsetKey b,
 FringeCell::Outcome FringeCell::Merge(const FringeCell& other,
                                       const ImplicationConditions& cond) {
   Outcome outcome = Outcome::kUndecided;
-  for (const auto& [key, other_state] : other.items_) {
-    auto [it, inserted] = items_.try_emplace(key, other_state);
-    if (inserted) {
-      state_bytes_ += it->second.MemoryBytes();
+  // Fold the shared keys in place and count the other side's new ones.
+  size_t added = 0;
+  auto mine = entries_.begin();
+  for (const Entry& theirs : other.entries_) {
+    while (mine != entries_.end() && mine->key < theirs.key) ++mine;
+    const ItemsetState* merged = &theirs.state;
+    if (mine == entries_.end() || mine->key != theirs.key) {
+      ++added;
     } else {
       // Count only exclusions the merge itself discovers; a dirty state
       // arriving from the other side was already counted where it turned
       // dirty (or predates this process — see DirtyReason).
-      const size_t state_before = it->second.MemoryBytes();
-      bool was_dirty = it->second.dirty();
-      it->second.Merge(other_state, cond);
-      state_bytes_ += it->second.MemoryBytes() - state_before;
-      if (!was_dirty && it->second.dirty()) {
-        IMPLISTAT_IF_METRICS(CountDirtyExclusion(it->second.dirty_reason()));
+      ItemsetState& state = mine->state;
+      const size_t state_before = state.MemoryBytes();
+      bool was_dirty = state.dirty();
+      state.Merge(theirs.state, cond);
+      pair_heap_bytes_ += state.MemoryBytes() - state_before;
+      if (!was_dirty && state.dirty()) {
+        IMPLISTAT_IF_METRICS(CountDirtyExclusion(state.dirty_reason()));
       }
+      merged = &state;
     }
-    if (it->second.dirty()) outcome = Outcome::kNonImplication;
-    if (it->second.supported(cond)) has_supported_ = true;
+    if (merged->dirty()) outcome = Outcome::kNonImplication;
+    if (merged->supported(cond)) has_supported_ = true;
+  }
+  if (added > 0) {
+    InsertMissing(
+        other.entries_, added, [](const Entry& e) { return e.key; },
+        [](const Entry& e) { return Entry{e.key, 0, e.state}; });
   }
   if (other.has_supported_) has_supported_ = true;
   return outcome;
@@ -113,18 +176,13 @@ FringeCell::Outcome FringeCell::Merge(const FringeCell& other,
 
 void FringeCell::SerializeTo(ByteWriter* out) const {
   out->PutBool(has_supported_);
-  out->PutVarint64(items_.size());
-  // Canonical order: the map iterates in insertion-history order, which a
-  // restore cannot reproduce, so sort by key — two cells with the same
-  // tracked itemsets serialize to the same bytes no matter how they got
-  // there (live stream, merge, or an earlier restore).
-  std::vector<ItemsetKey> keys;
-  keys.reserve(items_.size());
-  for (const auto& [key, state] : items_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (ItemsetKey key : keys) {
-    out->PutU64(key);
-    items_.at(key).SerializeTo(out);
+  out->PutVarint64(entries_.size());
+  // Storage order is key order, the canonical order: two cells with the
+  // same tracked itemsets serialize to the same bytes no matter how they
+  // got there (live stream, merge, or an earlier restore).
+  for (const Entry& e : entries_) {
+    out->PutU64(e.key);
+    e.state.SerializeTo(out);
   }
 }
 
@@ -138,13 +196,23 @@ StatusOr<FringeCell> FringeCell::Deserialize(ByteReader* in) {
   if (items > (uint64_t{1} << 28)) {
     return Status::InvalidArgument("FringeCell: implausible itemset count");
   }
+  // A count the bytes present cannot hold is refused before the reserve.
+  if (items > in->remaining() / kMinEntryBytes) {
+    return Status::InvalidArgument("FringeCell: itemset count exceeds input");
+  }
+  cell.ReserveFor(items);
   for (uint64_t i = 0; i < items; ++i) {
     ItemsetKey key;
     IMPLISTAT_RETURN_NOT_OK(in->ReadU64(&key));
+    // SerializeTo writes strictly ascending keys; anything else (a
+    // duplicate included) is not a cell this library wrote.
+    if (i > 0 && key <= cell.entries_.back().key) {
+      return Status::InvalidArgument("FringeCell: keys out of order");
+    }
     IMPLISTAT_ASSIGN_OR_RETURN(ItemsetState state,
                                ItemsetState::Deserialize(in));
-    auto [it, inserted] = cell.items_.emplace(key, std::move(state));
-    if (inserted) cell.state_bytes_ += it->second.MemoryBytes();
+    cell.pair_heap_bytes_ += HeapBytes(state);
+    cell.entries_.push_back(Entry{key, 0, std::move(state)});
   }
   return cell;
 }
@@ -152,18 +220,16 @@ StatusOr<FringeCell> FringeCell::Deserialize(ByteReader* in) {
 void FringeCell::SerializeItemPatchTo(uint64_t since_stamp,
                                       ByteWriter* out) const {
   out->PutBool(has_supported_);
-  out->PutVarint64(items_.size());
-  std::vector<ItemsetKey> changed;
-  for (const auto& [key, stamp] : stamps_) {
-    if (stamp > since_stamp) changed.push_back(key);
-  }
-  // Canonical key order, matching SerializeTo: the patch bytes for a
-  // given change set are unique no matter the observation order.
-  std::sort(changed.begin(), changed.end());
-  out->PutVarint64(changed.size());
-  for (ItemsetKey key : changed) {
-    out->PutU64(key);
-    items_.at(key).SerializeTo(out);
+  out->PutVarint64(entries_.size());
+  // Key order, matching SerializeTo: the patch bytes for a given change
+  // set are unique no matter the observation order.
+  uint64_t changed = 0;
+  for (const Entry& e : entries_) changed += e.stamp > since_stamp;
+  out->PutVarint64(changed);
+  for (const Entry& e : entries_) {
+    if (e.stamp <= since_stamp) continue;
+    out->PutU64(e.key);
+    e.state.SerializeTo(out);
   }
 }
 
@@ -197,38 +263,44 @@ StatusOr<FringeCell::ItemPatch> FringeCell::DeserializeItemPatch(
 
 size_t FringeCell::NewKeys(const ItemPatch& patch) const {
   size_t inserts = 0;
+  auto mine = entries_.begin();
   for (const auto& [key, state] : patch.items) {
-    if (items_.find(key) == items_.end()) ++inserts;
+    while (mine != entries_.end() && mine->key < key) ++mine;
+    if (mine == entries_.end() || mine->key != key) ++inserts;
   }
   return inserts;
 }
 
 size_t FringeCell::ApplyItemPatch(ItemPatch&& patch) {
-  const size_t before = items_.size();
+  // Replace the shared keys' states in place (keeping their stamps) and
+  // count the new ones; DeserializeItemPatch checked the key order.
+  size_t added = 0;
+  auto mine = entries_.begin();
   for (auto& [key, state] : patch.items) {
-    auto [it, inserted] = items_.try_emplace(key);
-    const size_t state_before = inserted ? 0 : it->second.MemoryBytes();
-    it->second = std::move(state);
-    state_bytes_ += it->second.MemoryBytes() - state_before;
+    while (mine != entries_.end() && mine->key < key) ++mine;
+    if (mine == entries_.end() || mine->key != key) {
+      ++added;
+      continue;
+    }
+    pair_heap_bytes_ += HeapBytes(state);
+    pair_heap_bytes_ -= HeapBytes(mine->state);
+    mine->state = std::move(state);
+  }
+  if (added > 0) {
+    InsertMissing(
+        patch.items, added,
+        [](const std::pair<ItemsetKey, ItemsetState>& p) { return p.first; },
+        [](std::pair<ItemsetKey, ItemsetState>& p) {
+          return Entry{p.first, 0, std::move(p.second)};
+        });
   }
   has_supported_ = patch.has_supported;
-  return items_.size() - before;
+  return added;
 }
 
 size_t FringeCell::RecountMemoryBytes() const {
-  // The map's bucket array is real heap the fringe budget must answer for
-  // (§4.6 is a memory claim); it used to be omitted, undercounting every
-  // populated cell by bucket_count * sizeof(pointer).
-  size_t bytes = sizeof(*this) + items_.bucket_count() * sizeof(void*);
-  for (const auto& [key, state] : items_) {
-    bytes += sizeof(key) + state.MemoryBytes() +
-             2 * sizeof(void*);  // hash-table node overhead, approximately
-  }
-  // Delta-tracking stamps (one u64 per itemset touched since tracking
-  // began; empty unless the owning bitmap serves deltas).
-  bytes += stamps_.bucket_count() * sizeof(void*) +
-           stamps_.size() * (sizeof(ItemsetKey) + sizeof(uint64_t) +
-                             2 * sizeof(void*));
+  size_t bytes = sizeof(*this) + entries_.capacity() * sizeof(Entry);
+  for (const Entry& e : entries_) bytes += HeapBytes(e.state);
   return bytes;
 }
 

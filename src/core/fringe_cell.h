@@ -3,12 +3,17 @@
 // A fringe cell tracks every itemset a hashed into it together with the
 // itemsets of B each appears with, so the cell can be assigned the value 1
 // the moment one tracked itemset becomes a known non-implication.
+//
+// The itemsets live in one array sorted by key. Key order is the canonical
+// order of every serialized form, so writers walk storage and merges walk
+// two sorted runs; a bounded cell holds at most its bitmap's budget
+// (30 itemsets at F = 4), so an insert moves few entries.
 
 #ifndef IMPLISTAT_CORE_FRINGE_CELL_H_
 #define IMPLISTAT_CORE_FRINGE_CELL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,16 +37,17 @@ class FringeCell {
   };
 
   FringeCell() = default;
-  // Move-only: a copied map copies each itemset's pair vector without its
-  // spare capacity, so the copy's running byte count would overstate it.
+  // Move-only: a copy holds the entries and pair lists without their spare
+  // capacity, so the copy's running byte count would overstate it.
   FringeCell(const FringeCell&) = delete;
   FringeCell& operator=(const FringeCell&) = delete;
   FringeCell(FringeCell&&) = default;
   FringeCell& operator=(FringeCell&&) = default;
 
-  /// Records one (a, b) occurrence.
+  /// Records one (a, b) occurrence. A non-zero `stamp` becomes a's change
+  /// stamp (see the delta-shipping section below); 0 leaves it as it is.
   Outcome Observe(ItemsetKey a, ItemsetKey b,
-                  const ImplicationConditions& cond);
+                  const ImplicationConditions& cond, uint64_t stamp = 0);
 
   /// True when some tracked itemset meets the minimum support (drives the
   /// F0_sup scan of Algorithm 2 / §4.4).
@@ -49,22 +55,20 @@ class FringeCell {
 
   /// Number of distinct itemsets a currently tracked (the fringe budget
   /// of §4.3.2 sums this across cells).
-  size_t num_itemsets() const { return items_.size(); }
+  size_t num_itemsets() const { return entries_.size(); }
 
   /// Folds another cell's tracked itemsets into this one (distributed
   /// aggregation). Returns kNonImplication if any merged itemset is a
   /// known non-implication, i.e. the merged cell's value must become 1.
   Outcome Merge(const FringeCell& other, const ImplicationConditions& cond);
 
-  /// Heap and object bytes this cell holds, in O(1): the node and bucket
-  /// terms are read off the maps, and the one term they cannot give —
-  /// the itemset states' own bytes — is kept up to date by every
-  /// mutation. Always equals RecountMemoryBytes().
+  /// Heap and object bytes this cell holds, in O(1): the entry array is
+  /// read off its capacity, and the one term it cannot give — the pair
+  /// lists' heap blocks — is kept up to date by every mutation. Always
+  /// equals RecountMemoryBytes().
   size_t MemoryBytes() const {
-    return sizeof(*this) +
-           (items_.bucket_count() + stamps_.bucket_count()) * sizeof(void*) +
-           items_.size() * kItemNodeOverhead +
-           stamps_.size() * kStampNodeBytes + state_bytes_;
+    return sizeof(*this) + entries_.capacity() * sizeof(Entry) +
+           pair_heap_bytes_;
   }
 
   /// The same figure by walking every tracked itemset; for tests.
@@ -78,9 +82,9 @@ class FringeCell {
   // The fringe is where NIPS state churns, but per poll interval only the
   // itemsets actually observed mutate — a small slice of a mature cell's
   // population. The owning Nips bitmap stamps each touched itemset with
-  // its change clock (NoteStamp); an item patch then ships exactly the
-  // states whose stamp postdates the receiver's baseline, and the
-  // receiver upserts them. Itemsets never leave a live cell (a settled
+  // its change clock (Observe's `stamp`); an item patch then ships
+  // exactly the states whose stamp postdates the receiver's baseline, and
+  // the receiver upserts them. Itemsets never leave a live cell (a settled
   // cell is shipped as a whole-cell event by the bitmap), so upserts plus
   // the shipped total count reconstruct the sender's cell byte-for-byte.
 
@@ -92,9 +96,6 @@ class FringeCell {
     uint64_t total_items = 0;
     std::vector<std::pair<ItemsetKey, ItemsetState>> items;
   };
-
-  /// Records that itemset `a` changed at `stamp` (monotone, non-zero).
-  void NoteStamp(ItemsetKey a, uint64_t stamp) { stamps_[a] = stamp; }
 
   /// Serializes the item patch for every itemset stamped after
   /// `since_stamp`. Itemsets never stamped (untouched since tracking
@@ -108,28 +109,41 @@ class FringeCell {
   size_t NewKeys(const ItemPatch& patch) const;
 
   /// Applies a validated patch. Infallible: replaces/inserts the shipped
-  /// states and adopts the sender's has_supported flag. Returns the
-  /// change in num_itemsets() (always >= 0).
+  /// states (a replaced itemset keeps its stamp, an inserted one starts
+  /// at 0) and adopts the sender's has_supported flag. Returns the change
+  /// in num_itemsets() (always >= 0).
   size_t ApplyItemPatch(ItemPatch&& patch);
 
  private:
-  // Hash-table node bytes per entry beyond the mapped state (the key and
-  // two pointers of node overhead, approximately), and per stamp.
-  static constexpr size_t kItemNodeOverhead =
-      sizeof(ItemsetKey) + 2 * sizeof(void*);
-  static constexpr size_t kStampNodeBytes =
-      sizeof(ItemsetKey) + sizeof(uint64_t) + 2 * sizeof(void*);
+  struct Entry {
+    ItemsetKey key;
+    // Change stamp of the itemset's last mutation since the owning bitmap
+    // enabled delta tracking; 0 = unchanged since tracking began.
+    uint64_t stamp;
+    ItemsetState state;
+  };
 
-  std::unordered_map<ItemsetKey, ItemsetState> items_;
-  // Last change stamp per itemset touched since the owning bitmap enabled
-  // delta tracking; empty (and never populated) otherwise. Always a
-  // subset of items_' keys, so the fringe budget bounds it too.
-  std::unordered_map<ItemsetKey, uint64_t> stamps_;
-  // The flag and Σ ItemsetState::MemoryBytes() over items_ share one
-  // word, so the running count costs the cell no bytes (sizeof is what
-  // the flag alone made it) and cannot overflow.
+  // First entry whose key is not below `a`.
+  std::vector<Entry>::iterator Find(ItemsetKey a);
+
+  // Grows entries_ to hold `n` entries. Capacity is always the power of
+  // two at or above the entry count (0 when empty), however the cell got
+  // its entries, so a restored or patched twin's entry array costs what
+  // its original's does.
+  void ReserveFor(size_t n);
+
+  // Inserts the `added` elements of the ascending run `run` whose keys
+  // (`key_of`) entries_ lacks, as `make_entry` builds them: one resize,
+  // then one merge of the two runs into place from the back.
+  template <typename Run, typename KeyOf, typename MakeEntry>
+  void InsertMissing(Run& run, size_t added, KeyOf key_of,
+                     MakeEntry make_entry);
+
+  std::vector<Entry> entries_;  // ascending key order, keys unique
+  // The flag and Σ pair-list heap bytes over entries_ share one word, so
+  // the running count costs the cell no bytes and cannot overflow.
   uint64_t has_supported_ : 1 = 0;
-  uint64_t state_bytes_ : 63 = 0;
+  uint64_t pair_heap_bytes_ : 63 = 0;
 };
 
 }  // namespace implistat

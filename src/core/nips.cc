@@ -131,18 +131,16 @@ void Nips::ObserveAt(int cell, ItemsetKey a, ItemsetKey b) {
   const size_t bytes_before = c.data ? c.data->MemoryBytes() : 0;
   if (!c.data) c.data = std::make_unique<FringeCell>();
   size_t before = c.data->num_itemsets();
-  FringeCell::Outcome outcome = c.data->Observe(a, b, conditions_);
+  // A fringe observe always mutates the tracked state (at minimum the
+  // itemset's support count), so under delta tracking it stamps the
+  // itemset and the cell. If the outcome settles the cell below,
+  // DecideOne re-stamps it and frees the data (stamps included).
+  const uint64_t stamp = delta_tracking_ ? ++clock_ : 0;
+  FringeCell::Outcome outcome = c.data->Observe(a, b, conditions_, stamp);
+  if (stamp != 0) c.stamp = stamp;
   size_t after = c.data->num_itemsets();
   tracked_ += after - before;  // an increase is an insertion; see FlushMetrics
   if (c.data->has_supported()) c.has_supported = true;
-  if (delta_tracking_) {
-    // A fringe observe always mutates the tracked state (at minimum the
-    // itemset's support count). If the outcome settles the cell below,
-    // DecideOne re-stamps it and frees the data (stamps included).
-    ++clock_;
-    c.stamp = clock_;
-    c.data->NoteStamp(a, clock_);
-  }
   fringe_bytes_ += c.data->MemoryBytes() - bytes_before;
 
   if (outcome == FringeCell::Outcome::kNonImplication) {

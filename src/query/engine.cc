@@ -232,7 +232,16 @@ void QueryEngine::ObserveTuple(TupleRef tuple) {
   if (triggers_ != nullptr) triggers_->Tick(tuples_);
 }
 
+namespace {
+Status AggregateRefusesWrites() {
+  return Status::FailedPrecondition(
+      "this engine serves an aggregate that is refolded from its peers; "
+      "send writes to an edge");
+}
+}  // namespace
+
 Status QueryEngine::ObserveStream(TupleStream& stream) {
+  if (aggregate_) return AggregateRefusesWrites();
   if (stream.schema().num_attributes() != schema_.num_attributes()) {
     return Status::InvalidArgument("stream schema width mismatch");
   }
@@ -407,6 +416,7 @@ std::vector<QueryId> QueryEngine::ActiveQueryIds() const {
 
 Status QueryEngine::MergeEstimatorState(QueryId id,
                                         std::string_view snapshot) {
+  if (aggregate_) return AggregateRefusesWrites();
   IMPLISTAT_RETURN_NOT_OK(CheckQueryId(id));
   const RegisteredQuery& query = queries_[id];
   if (query.binding == QueryBinding::kDerived) {

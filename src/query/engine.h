@@ -168,6 +168,13 @@ class QueryEngine {
   /// keep QUERY readouts meaningful.
   void SetTuplesSeen(uint64_t tuples) { tuples_ = tuples; }
 
+  /// Marks the engine as an aggregate (AggregatorSupervisor::Init): every
+  /// refold rebuilds its synopses from the supervisor's base and peers,
+  /// so a write would last only until the next fold. From here on,
+  /// ObserveStream and MergeEstimatorState refuse with FailedPrecondition
+  /// and mutate nothing. Not kept in checkpoints.
+  void MarkAggregate() { aggregate_ = true; }
+
   // --- Continuous triggers -------------------------------------------------
   //
   // CREATE TRIGGER statements (src/cql/) compile against the registered
@@ -286,6 +293,7 @@ class QueryEngine {
   std::vector<RegisteredQuery> queries_;
   std::vector<ValueDictionary> dictionaries_;
   uint64_t tuples_ = 0;
+  bool aggregate_ = false;  // see MarkAggregate
   LabelSource label_source_{this};
   std::unique_ptr<cql::TriggerEngine> triggers_;  // lazy: null until install
 };

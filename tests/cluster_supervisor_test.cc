@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -921,6 +922,109 @@ TEST(ClusterFoldTest, PullFailingPartWayKeepsTheLastGoodContribution) {
                              {a_before, FullPulls(edge_b, aggregate)},
                              RegisterNipsFirst);
   EXPECT_EQ(aggregate.tuples_seen(), 400u + 500u);
+}
+
+// An aggregate is rebuilt from its Init() base plus its peers at every
+// refold, so a write sent to it would last only until the next fold. It
+// refuses OBSERVE_BATCH and MERGE instead and mutates nothing. The
+// aggregate is served as `implistat_server --peer` serves it, with folds
+// injected into the serving loop, and read only over the wire.
+TEST(ClusterSupervisorTest, AggregateRefusesWritesAndKeepsItsFold) {
+  Edge edge;
+  RegisterSuite(edge.engine());
+  FeedLocal(edge.engine(), 0, 600);
+  edge.Start();
+
+  QueryEngine aggregate(TestSchema());
+  RegisterSuite(aggregate);
+  std::unique_ptr<net::Server> server;
+  AggregatorSupervisor supervisor(
+      &aggregate, {edge.Config("edge")}, TestOptions(),
+      [&server](std::function<void()> task) {
+        server->InjectTask(std::move(task));
+      });
+  ASSERT_TRUE(supervisor.Init().ok());
+  // Read before serving: from here on only the serving loop touches it.
+  const std::vector<QueryEngine::FoldUnit> units = aggregate.FoldUnits();
+  server = std::make_unique<net::Server>(&aggregate, net::ServerOptions());
+  Status started = server->Start();
+  ASSERT_TRUE(started.ok()) << started;
+  std::thread loop([&server] { (void)server->Run(); });
+  auto await_folds = [&supervisor](uint64_t count) {
+    for (int i = 0; i < 500 && supervisor.folds_completed() < count; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return supervisor.folds_completed() >= count;
+  };
+  auto served_states = [&] {
+    std::vector<std::string> states;
+    auto client = net::Client::Connect("127.0.0.1", server->port());
+    EXPECT_TRUE(client.ok());
+    if (!client.ok()) return states;
+    for (const QueryEngine::FoldUnit& unit : units) {
+      auto full =
+          client->Snapshot(static_cast<uint32_t>(unit.representative));
+      EXPECT_TRUE(full.ok()) << full.status();
+      states.push_back(full.ok() ? full->state : std::string());
+    }
+    return states;
+  };
+
+  ASSERT_TRUE(supervisor.PollOnce(0).refolded);
+  ASSERT_TRUE(await_folds(1));
+  const std::vector<std::string> before = served_states();
+  {
+    auto client = net::Client::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(client.ok());
+    auto observed = client->ObserveBatch(IdBatch(600, 900));
+    EXPECT_EQ(observed.status().code(), StatusCode::kFailedPrecondition)
+        << observed.status();
+    auto edge_client = edge.Connect();
+    ASSERT_TRUE(edge_client.ok());
+    auto snapshot = edge_client->Snapshot(1);
+    ASSERT_TRUE(snapshot.ok());
+    Status merged = client->Merge(1, snapshot->state);
+    EXPECT_EQ(merged.code(), StatusCode::kFailedPrecondition) << merged;
+    EXPECT_NE(merged.message().find("send writes to an edge"),
+              std::string::npos)
+        << merged;
+    auto answer = client->Query();
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(answer->tuples_seen, 600u);
+  }
+  ExpectSameUnitStates(served_states(), before);
+
+  // The next poll's fold is the edge's alone, as if no write was sent.
+  {
+    auto client = edge.Connect();
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->ObserveBatch(IdBatch(900, 1000)).ok());
+  }
+  ASSERT_TRUE(supervisor.PollOnce(1000).refolded);
+  ASSERT_TRUE(await_folds(2));
+  QueryEngine reference(TestSchema());
+  RegisterSuite(reference);
+  const std::vector<std::string> edge_states = FullPulls(edge, reference);
+  const std::vector<QueryEngine::FoldUnit> reference_units =
+      reference.FoldUnits();
+  ASSERT_EQ(edge_states.size(), reference_units.size());
+  for (size_t u = 0; u < reference_units.size(); ++u) {
+    ASSERT_TRUE(reference
+                    .RefoldSynopsisState(reference_units[u].synopsis,
+                                         {std::string_view(edge_states[u])})
+                    .ok());
+  }
+  ExpectSameUnitStates(served_states(), FoldUnitStates(reference));
+  {
+    auto client = net::Client::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(client.ok());
+    auto answer = client->Query();
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(answer->tuples_seen, 700u);
+  }
+
+  server->Shutdown();
+  loop.join();
 }
 
 }  // namespace

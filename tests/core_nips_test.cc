@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "obs/metrics.h"
+#include "util/random.h"
 
 namespace implistat {
 namespace {
@@ -242,6 +248,262 @@ TEST(NipsTest, MemoryShrinksAsCellsDecide) {
     nips.ObserveAt(cell, 200 + cell, 2);
   }
   EXPECT_LT(nips.MemoryBytes(), loaded);
+}
+
+// --- The retired map-based fringe cell, kept as an oracle ----------------
+//
+// FringeCell used to hold its itemsets in an unordered_map and its delta
+// stamps in a second map, and sorted the keys on every write. The sorted
+// entry array must reproduce it byte for byte; this is that cell, less
+// its memory accounting and metrics.
+class MapFringeCell {
+ public:
+  using Outcome = FringeCell::Outcome;
+
+  Outcome Observe(ItemsetKey a, ItemsetKey b,
+                  const ImplicationConditions& cond) {
+    ItemsetState& state = items_[a];
+    bool dirty = state.Observe(b, cond);
+    if (state.supported(cond)) has_supported_ = true;
+    return dirty ? Outcome::kNonImplication : Outcome::kUndecided;
+  }
+
+  void NoteStamp(ItemsetKey a, uint64_t stamp) { stamps_[a] = stamp; }
+
+  Outcome Merge(const MapFringeCell& other,
+                const ImplicationConditions& cond) {
+    Outcome outcome = Outcome::kUndecided;
+    for (const auto& [key, other_state] : other.items_) {
+      auto [it, inserted] = items_.try_emplace(key, other_state);
+      if (!inserted) it->second.Merge(other_state, cond);
+      if (it->second.dirty()) outcome = Outcome::kNonImplication;
+      if (it->second.supported(cond)) has_supported_ = true;
+    }
+    if (other.has_supported_) has_supported_ = true;
+    return outcome;
+  }
+
+  size_t num_itemsets() const { return items_.size(); }
+  bool has_supported() const { return has_supported_; }
+
+  void SerializeTo(ByteWriter* out) const {
+    out->PutBool(has_supported_);
+    out->PutVarint64(items_.size());
+    std::vector<ItemsetKey> keys;
+    for (const auto& [key, state] : items_) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    for (ItemsetKey key : keys) {
+      out->PutU64(key);
+      items_.at(key).SerializeTo(out);
+    }
+  }
+
+  static StatusOr<MapFringeCell> Deserialize(ByteReader* in) {
+    MapFringeCell cell;
+    IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&cell.has_supported_));
+    uint64_t items;
+    IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&items));
+    for (uint64_t i = 0; i < items; ++i) {
+      ItemsetKey key;
+      IMPLISTAT_RETURN_NOT_OK(in->ReadU64(&key));
+      IMPLISTAT_ASSIGN_OR_RETURN(ItemsetState state,
+                                 ItemsetState::Deserialize(in));
+      cell.items_.emplace(key, std::move(state));
+    }
+    return cell;
+  }
+
+  void SerializeItemPatchTo(uint64_t since_stamp, ByteWriter* out) const {
+    out->PutBool(has_supported_);
+    out->PutVarint64(items_.size());
+    std::vector<ItemsetKey> changed;
+    for (const auto& [key, stamp] : stamps_) {
+      if (stamp > since_stamp) changed.push_back(key);
+    }
+    std::sort(changed.begin(), changed.end());
+    out->PutVarint64(changed.size());
+    for (ItemsetKey key : changed) {
+      out->PutU64(key);
+      items_.at(key).SerializeTo(out);
+    }
+  }
+
+  size_t NewKeys(const FringeCell::ItemPatch& patch) const {
+    size_t inserts = 0;
+    for (const auto& [key, state] : patch.items) {
+      if (items_.find(key) == items_.end()) ++inserts;
+    }
+    return inserts;
+  }
+
+  size_t ApplyItemPatch(FringeCell::ItemPatch&& patch) {
+    const size_t before = items_.size();
+    for (auto& [key, state] : patch.items) items_[key] = std::move(state);
+    has_supported_ = patch.has_supported;
+    return items_.size() - before;
+  }
+
+ private:
+  std::unordered_map<ItemsetKey, ItemsetState> items_;
+  std::unordered_map<ItemsetKey, uint64_t> stamps_;
+  bool has_supported_ = false;
+};
+
+template <typename Cell>
+std::string CellBytes(const Cell& cell) {
+  ByteWriter out;
+  cell.SerializeTo(&out);
+  return out.Release();
+}
+
+template <typename Cell>
+std::string PatchBytes(const Cell& cell, uint64_t since) {
+  ByteWriter out;
+  cell.SerializeItemPatchTo(since, &out);
+  return out.Release();
+}
+
+template <typename Cell>
+Cell DecodeCell(const std::string& bytes) {
+  ByteReader in(bytes);
+  StatusOr<Cell> cell = Cell::Deserialize(&in);
+  EXPECT_TRUE(cell.ok()) << cell.status().ToString();
+  return std::move(cell).value();
+}
+
+FringeCell::ItemPatch DecodePatch(const std::string& bytes) {
+  ByteReader in(bytes);
+  StatusOr<FringeCell::ItemPatch> patch = FringeCell::DeserializeItemPatch(&in);
+  EXPECT_TRUE(patch.ok()) << patch.status().ToString();
+  return std::move(patch).value();
+}
+
+void ExpectSameCell(const FringeCell& flat, const MapFringeCell& map,
+                    const std::string& where) {
+  EXPECT_EQ(CellBytes(flat), CellBytes(map)) << where;
+  EXPECT_EQ(flat.num_itemsets(), map.num_itemsets()) << where;
+  EXPECT_EQ(flat.has_supported(), map.has_supported()) << where;
+  EXPECT_EQ(flat.MemoryBytes(), flat.RecountMemoryBytes()) << where;
+}
+
+// Drives the sorted-array cell and the retired map cell through the same
+// seeded sequences of observes (stamped and not), merges, item patches
+// and snapshot round trips, and compares them after every step.
+TEST(FringeCellDifferentialTest, FlatCellMatchesTheRetiredMapCell) {
+  constexpr size_t kCells = 4;
+  for (bool strict : {true, false}) {
+    for (uint32_t k : {1u, 2u, 16u}) {
+      ImplicationConditions cond;
+      cond.max_multiplicity = k;
+      cond.min_support = 4;
+      cond.min_top_confidence = 0.75;
+      cond.confidence_c = std::min<uint32_t>(k, 2);
+      cond.strict_multiplicity = strict;
+      Rng rng(7000 + 2 * k + (strict ? 1 : 0));
+      std::vector<ItemsetKey> keys(40);
+      for (ItemsetKey& key : keys) key = rng.Next64();
+
+      std::vector<FringeCell> flat(kCells);
+      std::vector<MapFringeCell> map(kCells);
+      // Each cell's receiver twin as of its last baseline, that baseline's
+      // clock, and whether only stamped observes changed the cell since.
+      std::vector<FringeCell> flat_twin(kCells);
+      std::vector<MapFringeCell> map_twin(kCells);
+      std::vector<uint64_t> baseline(kCells, 0);
+      std::vector<bool> stamped_only(kCells, true);
+      uint64_t clock = 0;
+      auto rebaseline = [&](size_t x) {
+        flat_twin[x] = DecodeCell<FringeCell>(CellBytes(flat[x]));
+        map_twin[x] = DecodeCell<MapFringeCell>(CellBytes(map[x]));
+        baseline[x] = clock;
+        stamped_only[x] = true;
+      };
+      auto settle = [&](size_t x) {  // as Nips::DecideOne frees a cell
+        flat[x] = FringeCell();
+        map[x] = MapFringeCell();
+        rebaseline(x);
+      };
+
+      for (int step = 0; step < 2500; ++step) {
+        const size_t x = rng.Uniform(kCells);
+        const std::string where = "strict=" + std::to_string(strict) +
+                                  " K=" + std::to_string(k) +
+                                  " step=" + std::to_string(step);
+        const uint64_t op = rng.Uniform(100);
+        if (op < 70) {
+          const ItemsetKey a = keys[rng.Uniform(keys.size())];
+          const ItemsetKey b = rng.Uniform(k + 3);
+          const uint64_t stamp = rng.Uniform(4) != 0 ? ++clock : 0;
+          FringeCell::Outcome outcome = flat[x].Observe(a, b, cond, stamp);
+          ASSERT_EQ(outcome, map[x].Observe(a, b, cond)) << where;
+          if (stamp != 0) {
+            map[x].NoteStamp(a, stamp);
+          } else {
+            stamped_only[x] = false;
+          }
+          ExpectSameCell(flat[x], map[x], where);
+          if (outcome == FringeCell::Outcome::kNonImplication &&
+              rng.Uniform(2) == 0) {
+            settle(x);
+          }
+        } else if (op < 80) {
+          const size_t y = rng.Uniform(kCells);
+          if (y == x) continue;
+          FringeCell::Outcome outcome = flat[x].Merge(flat[y], cond);
+          ASSERT_EQ(outcome, map[x].Merge(map[y], cond)) << where;
+          stamped_only[x] = false;
+          ExpectSameCell(flat[x], map[x], where);
+          if (outcome == FringeCell::Outcome::kNonImplication &&
+              rng.Uniform(2) == 0) {
+            settle(x);
+          }
+        } else if (op < 95) {
+          const std::string patch = PatchBytes(flat[x], baseline[x]);
+          ASSERT_EQ(patch, PatchBytes(map[x], baseline[x])) << where;
+          FringeCell::ItemPatch flat_patch = DecodePatch(patch);
+          FringeCell::ItemPatch map_patch = DecodePatch(patch);
+          // Half the patches go to the cell's twin, as a delta receiver
+          // applies them; the rest to another live cell, whose own
+          // stamps the patch must leave in place.
+          const size_t z = rng.Uniform(kCells);
+          const bool to_twin = rng.Uniform(2) == 0 || z == x;
+          FringeCell& flat_to = to_twin ? flat_twin[x] : flat[z];
+          MapFringeCell& map_to = to_twin ? map_twin[x] : map[z];
+          const size_t added = flat_to.NewKeys(flat_patch);
+          ASSERT_EQ(added, map_to.NewKeys(map_patch)) << where;
+          if (to_twin && stamped_only[x]) {
+            EXPECT_EQ(flat_to.num_itemsets() + added, flat_patch.total_items)
+                << where;
+          }
+          ASSERT_EQ(flat_to.ApplyItemPatch(std::move(flat_patch)),
+                    map_to.ApplyItemPatch(std::move(map_patch)))
+              << where;
+          ExpectSameCell(flat_to, map_to, where);
+          if (to_twin) {
+            if (stamped_only[x]) {
+              EXPECT_EQ(CellBytes(flat_to), CellBytes(flat[x])) << where;
+            }
+            rebaseline(x);
+          } else {
+            stamped_only[z] = false;
+            EXPECT_EQ(PatchBytes(flat[z], baseline[z]),
+                      PatchBytes(map[z], baseline[z]))
+                << where;
+          }
+        } else {
+          // A snapshot round trip; stamps do not survive it on either side.
+          const std::string bytes = CellBytes(flat[x]);
+          ASSERT_EQ(bytes, CellBytes(map[x])) << where;
+          flat[x] = DecodeCell<FringeCell>(bytes);
+          map[x] = DecodeCell<MapFringeCell>(bytes);
+          EXPECT_EQ(CellBytes(flat[x]), bytes) << where;
+          ExpectSameCell(flat[x], map[x], where);
+          rebaseline(x);
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/nips_ci_ensemble.h"
+#include "util/envelope.h"
 #include "util/random.h"
 
 namespace implistat {
@@ -195,6 +202,107 @@ TEST(NipsCiSerdeTest, MalformedInputsRejected) {
   std::string bad = bytes;
   bad[0] = 99;
   EXPECT_FALSE(NipsCi::Deserialize(bad).ok());
+}
+
+// A cell written with the given keys in the given order, each tracking
+// one (a, b) pair.
+std::string CellWithKeys(const std::vector<ItemsetKey>& keys) {
+  ImplicationConditions cond = SampleConditions();
+  ByteWriter w;
+  w.PutBool(false);
+  w.PutVarint64(keys.size());
+  for (ItemsetKey key : keys) {
+    ItemsetState state;
+    state.Observe(key + 1, cond);
+    w.PutU64(key);
+    state.SerializeTo(&w);
+  }
+  return w.Release();
+}
+
+TEST(FringeCellSerdeTest, KeysMustBeStrictlyAscending) {
+  for (const auto& keys : std::vector<std::vector<ItemsetKey>>{
+           {5, 9, 12}, {9, 5, 12}, {5, 12, 9}, {5, 5, 12}, {5, 9, 9}}) {
+    const std::string bytes = CellWithKeys(keys);
+    ByteReader r(bytes);
+    StatusOr<FringeCell> cell = FringeCell::Deserialize(&r);
+    if (std::is_sorted(keys.begin(), keys.end()) &&
+        std::adjacent_find(keys.begin(), keys.end()) == keys.end()) {
+      ASSERT_TRUE(cell.ok()) << cell.status().ToString();
+      EXPECT_EQ(cell->num_itemsets(), keys.size());
+    } else {
+      ASSERT_FALSE(cell.ok()) << keys[0] << "," << keys[1] << "," << keys[2];
+      EXPECT_EQ(cell.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(NipsCiSerdeTest, RestoreRefusesUnorderedCellKeysWithoutMutating) {
+  // One bitmap, unbounded fringe, σ out of reach: each of 64 itemsets is
+  // tracked with one pair, so every cell entry has the same length and
+  // two keys one entry apart sit in the same cell.
+  ImplicationConditions cond = SampleConditions();
+  cond.min_support = 1000;
+  NipsCiOptions opts;
+  opts.num_bitmaps = 1;
+  opts.nips.fringe_size = 0;
+  NipsCi source(cond, opts);
+  Rng rng(29);
+  std::vector<ItemsetKey> keys(64);
+  for (ItemsetKey& key : keys) {
+    key = rng.Next64();
+    source.Observe(key, 7);
+  }
+  ItemsetState one_pair;
+  one_pair.Observe(7, cond);
+  ByteWriter state_bytes;
+  one_pair.SerializeTo(&state_bytes);
+  const size_t entry_bytes = sizeof(ItemsetKey) + state_bytes.str().size();
+
+  const std::string payload = source.Serialize();
+  std::vector<size_t> at;
+  for (ItemsetKey key : keys) {
+    char raw[sizeof(key)];
+    std::memcpy(raw, &key, sizeof(key));
+    const size_t pos = payload.find(std::string(raw, sizeof(raw)));
+    ASSERT_NE(pos, std::string::npos);
+    at.push_back(pos);
+  }
+  std::sort(at.begin(), at.end());
+  size_t first = std::string::npos;
+  for (size_t i = 0; i + 1 < at.size(); ++i) {
+    if (at[i + 1] - at[i] == entry_bytes) {
+      first = at[i];
+      break;
+    }
+  }
+  ASSERT_NE(first, std::string::npos) << "no cell holds two itemsets";
+  const size_t second = first + entry_bytes;
+
+  std::string swapped = payload;
+  std::swap_ranges(swapped.begin() + first,
+                   swapped.begin() + first + sizeof(ItemsetKey),
+                   swapped.begin() + second);
+  std::string duplicated = payload;
+  duplicated.replace(second, sizeof(ItemsetKey),
+                     payload.substr(first, sizeof(ItemsetKey)));
+
+  NipsCi target(cond, opts);
+  for (int i = 0; i < 100; ++i) target.Observe(rng.Uniform(40), i % 3);
+  StatusOr<std::string> before = target.SerializeState();
+  ASSERT_TRUE(before.ok());
+  for (const std::string& bad : {swapped, duplicated}) {
+    Status status =
+        target.RestoreState(WrapSnapshot(SnapshotKind::kNipsCi, bad));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    StatusOr<std::string> after = target.SerializeState();
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, *before);
+  }
+  // The unmodified payload restores.
+  EXPECT_TRUE(
+      target.RestoreState(WrapSnapshot(SnapshotKind::kNipsCi, payload)).ok());
 }
 
 }  // namespace

@@ -19,7 +19,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/export_json.h"
@@ -99,6 +101,19 @@ inline const char* BuildType() {
 #else
   return "unknown";
 #endif
+}
+
+/// Opens a results file's JSON object with the keys every results file
+/// shares: the bench's name, this host's CPU count, the build type and
+/// the number of trials (timed repetitions that each reported figure
+/// summarizes). The caller writes its own keys and closes the object.
+inline void WriteResultsHeader(std::ostream& json, const char* bench,
+                               int trials) {
+  json << "{\n"
+       << "  \"bench\": \"" << bench << "\",\n"
+       << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"build_type\": \"" << BuildType() << "\",\n"
+       << "  \"trials\": " << trials << ",\n";
 }
 
 inline double RelativeError(double actual, double measured) {

@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baseline/distinct_sampling.h"
@@ -195,14 +194,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    json << "{\n"
-         << "  \"bench\": \"checkpoint_cost\",\n"
-         << "  \"workload\": \"loyal/violator, 200k distinct itemsets\",\n"
+    bench::WriteResultsHeader(json, "checkpoint_cost", trials);
+    json << "  \"workload\": \"loyal/violator, 200k distinct itemsets\",\n"
          << "  \"n_tuples\": " << n << ",\n"
-         << "  \"host_cpus\": " << std::thread::hardware_concurrency()
-         << ",\n"
-         << "  \"build_type\": \"" << bench::BuildType() << "\",\n"
-         << "  \"trials\": " << trials << ",\n"
          << "  \"note\": \"snapshot_bytes includes the versioned envelope "
          << "(magic, version, kind, length, CRC32C); every restore is "
          << "verified to answer identically before timing is reported\",\n"

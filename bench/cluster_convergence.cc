@@ -213,14 +213,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    json << "{\n"
-         << "  \"bench\": \"cluster_convergence\",\n"
-         << "  \"workload\": \"deterministic loyal/violator tape, NIPS/CI "
+    bench::WriteResultsHeader(json, "cluster_convergence", kSteadyRounds);
+    json << "  \"workload\": \"deterministic loyal/violator tape, NIPS/CI "
          << "estimator, partitioned across edge servers on TCP loopback\",\n"
-         << "  \"host_cpus\": " << std::thread::hardware_concurrency()
-         << ",\n"
          << "  \"tuples_per_edge\": " << per_edge << ",\n"
-         << "  \"steady_rounds\": " << kSteadyRounds << ",\n"
          << "  \"note\": \"staleness_ms = ship_interval/2 + measured "
          << "pull+refold time; every fold verified bit-identical to a "
          << "single-process twin over the union stream\",\n"

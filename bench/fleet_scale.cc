@@ -33,7 +33,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -271,16 +270,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    json << "{\n"
-         << "  \"bench\": \"fleet_scale\",\n"
-         << "  \"workload\": \"deterministic loyal/violator tape partitioned "
+    bench::WriteResultsHeader(json, "fleet_scale", kRounds);
+    json << "  \"workload\": \"deterministic loyal/violator tape partitioned "
          << "across in-process NIPS/CI edges; per round each edge ingests an "
          << "increment and ships a sealed kDeltaSnapshot patch (RLE "
          << "negotiated)\",\n"
-         << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
          << "  \"warmup_per_edge\": " << warmup << ",\n"
          << "  \"increment_per_edge\": " << increment << ",\n"
-         << "  \"rounds\": " << kRounds << ",\n"
          << "  \"ship_interval_ms\": " << kShipIntervalMs << ",\n"
          << "  \"min_nips_ci_reduction\": " << kMinReduction << ",\n"
          << "  \"note\": \"every twin verified byte-identical to its edge "

@@ -29,7 +29,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -246,14 +245,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    json << "{\n"
-         << "  \"bench\": \"multiquery_scaling\",\n"
-         << "  \"n_tuples\": " << n_tuples << ",\n"
+    bench::WriteResultsHeader(json, "multiquery_scaling", trials);
+    json << "  \"n_tuples\": " << n_tuples << ",\n"
          << "  \"templates\": " << templates.size() << ",\n"
-         << "  \"host_cpus\": " << std::thread::hardware_concurrency()
-         << ",\n"
-         << "  \"build_type\": \"" << bench::BuildType() << "\",\n"
-         << "  \"trials\": " << trials << ",\n"
          << "  \"note\": \"dedicated = N engines with one query each; "
          << "register_ms and ingest are medians over the trials, after "
          << "one discarded warm-up round; every trial verified: each of "

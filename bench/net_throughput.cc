@@ -287,15 +287,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    json << "{\n"
-         << "  \"bench\": \"net_throughput\",\n"
-         << "  \"workload\": \"loyal/violator, 200k distinct itemsets, "
+    bench::WriteResultsHeader(json, "net_throughput", trials);
+    json << "  \"workload\": \"loyal/violator, 200k distinct itemsets, "
          << "TCP loopback\",\n"
-         << "  \"host_cpus\": " << std::thread::hardware_concurrency()
-         << ",\n"
          << "  \"pinned_cpus\": 1,\n"
-         << "  \"build_type\": \"" << bench::BuildType() << "\",\n"
-         << "  \"trials\": " << trials << ",\n"
          << "  \"n_tuples_per_trial\": " << n_per_trial << ",\n"
          << "  \"window_frames\": " << kWindow << ",\n"
          << "  \"query_probes\": " << kQueryProbes << ",\n"

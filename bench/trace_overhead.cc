@@ -253,17 +253,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    json << "{\n"
-         << "  \"bench\": \"trace_overhead\",\n"
-         << "  \"trace_enabled\": "
+    bench::WriteResultsHeader(json, "trace_overhead", kReps);
+    json << "  \"trace_enabled\": "
          << (obs::kTraceEnabled ? "true" : "false") << ",\n"
-         << "  \"host_cpus\": " << std::thread::hardware_concurrency()
-         << ",\n"
          << "  \"n_tuples_per_round\": " << n_per_round << ",\n"
          << "  \"batch_size\": " << kBatchSize << ",\n"
-         << "  \"reps\": " << kReps << ",\n"
          << "  \"note\": \"one untimed warm-up pass, then rates in "
-         << "rotated order across reps, best-of per rate; overhead_pct "
+         << "rotated order across trials, best-of per rate; overhead_pct "
          << "is observe throughput lost vs the rate-0 baseline and is "
          << "bounded by this host's scheduler noise (the METRICS=OFF "
          << "build spreads the same few percent across identical code). "

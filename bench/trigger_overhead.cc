@@ -29,7 +29,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -172,14 +171,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    json << "{\n"
-         << "  \"bench\": \"trigger_overhead\",\n"
-         << "  \"host_cpus\": " << std::thread::hardware_concurrency()
-         << ",\n"
-         << "  \"clock\": \"thread_cpu\",\n"
+    bench::WriteResultsHeader(json, "trigger_overhead", trials);
+    json << "  \"clock\": \"thread_cpu\",\n"
          << "  \"tuples\": " << n << ",\n"
          << "  \"every_tuples\": " << kEvery << ",\n"
-         << "  \"trials\": " << trials << ",\n"
          << "  \"note\": \"per trial, one engine per arm (0, 16, 256, 0 "
          << "triggers) ingesting the same tuples one epoch at a time in "
          << "rotating order, timed on the thread CPU clock; "

@@ -19,21 +19,19 @@
 //   --metrics-json PATH   write a final JSON metrics snapshot
 //   --metrics-prom PATH   write the same snapshot in Prometheus text format
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "cql/parser.h"
+#include "cli_common.h"
 #include "obs/estimator_probe.h"
 #include "obs/export_json.h"
 #include "obs/export_prometheus.h"
 #include "obs/progress.h"
-#include "query/engine.h"
-#include "query/parser.h"
-#include "stream/csv_io.h"
-#include "util/fileio.h"
 
 namespace {
 
@@ -88,61 +86,30 @@ int main(int argc, char** argv) {
   std::string metrics_prom_path;
   std::vector<std::string> trigger_statements;
   std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto take_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
+  examples::CommandLine flags(argc, argv);
+  while (flags.Next()) {
+    const std::string_view arg = flags.arg();
     if (arg == "--checkpoint") {
-      const char* v = take_value("--checkpoint");
-      if (v == nullptr) return 2;
-      checkpoint_path = v;
+      if (!flags.String(&checkpoint_path)) return 2;
     } else if (arg == "--checkpoint-every") {
-      const char* v = take_value("--checkpoint-every");
-      if (v == nullptr) return 2;
-      checkpoint_every = std::strtoull(v, nullptr, 10);
+      if (!flags.Uint(&checkpoint_every, 0)) return 2;
     } else if (arg == "--restore") {
-      const char* v = take_value("--restore");
-      if (v == nullptr) return 2;
-      restore_path = v;
+      if (!flags.String(&restore_path)) return 2;
     } else if (arg == "--metrics-every") {
-      const char* v = take_value("--metrics-every");
-      if (v == nullptr) return 2;
-      metrics_every = std::strtoull(v, nullptr, 10);
+      if (!flags.Uint(&metrics_every, 0)) return 2;
     } else if (arg == "--metrics-json") {
-      const char* v = take_value("--metrics-json");
-      if (v == nullptr) return 2;
-      metrics_json_path = v;
+      if (!flags.String(&metrics_json_path)) return 2;
     } else if (arg == "--metrics-prom") {
-      const char* v = take_value("--metrics-prom");
-      if (v == nullptr) return 2;
-      metrics_prom_path = v;
-    } else if (arg == "--trigger") {
-      const char* v = take_value("--trigger");
-      if (v == nullptr) return 2;
-      StatusOr<std::string> script = ReadFileToString(v);
-      if (!script.ok()) {
-        std::cerr << "cannot read " << v << ": " << script.status() << "\n";
-        return 1;
+      if (!flags.String(&metrics_prom_path)) return 2;
+    } else if (flags.IsTrigger()) {
+      if (int code = flags.Triggers(&trigger_statements); code != 0) {
+        return code;
       }
-      for (std::string& statement : cql::SplitStatements(*script)) {
-        trigger_statements.push_back(std::move(statement));
-      }
-    } else if (arg == "--trigger-expr") {
-      const char* v = take_value("--trigger-expr");
-      if (v == nullptr) return 2;
-      for (std::string& statement : cql::SplitStatements(v)) {
-        trigger_statements.push_back(std::move(statement));
-      }
-    } else if (arg.rfind("--", 0) == 0) {
+    } else if (arg.starts_with("--")) {
       std::cerr << "unknown option " << arg << "\n";
       return Usage(argv[0]);
     } else {
-      positional.push_back(std::move(arg));
+      positional.emplace_back(arg);
     }
   }
   // With --restore, the checkpoint is the source of truth for queries:
@@ -162,78 +129,12 @@ int main(int argc, char** argv) {
                                  !metrics_json_path.empty() ||
                                  !metrics_prom_path.empty();
 
-  // A checkpoint embeds the value dictionaries of the run that wrote it.
-  // Seeding the CSV reader with them makes the replayed file's ids line
-  // up with the estimator states no matter how its rows are ordered —
-  // first-appearance interning order stops mattering across restarts.
-  std::vector<ValueDictionary> seed;
-  if (!restore_path.empty()) {
-    StatusOr<std::string> bytes = ReadFileToString(restore_path);
-    if (!bytes.ok()) {
-      std::cerr << "restore error: " << bytes.status() << "\n";
-      return 1;
-    }
-    StatusOr<std::vector<ValueDictionary>> peeked =
-        PeekCheckpointDictionaries(*bytes);
-    if (!peeked.ok()) {
-      std::cerr << "restore error: " << peeked.status() << "\n";
-      return 1;
-    }
-    seed = std::move(peeked).value();
-  }
-
-  StatusOr<CsvTable> table = [&]() -> StatusOr<CsvTable> {
-    if (positional[0] == "-") return ReadCsv(std::cin, std::move(seed));
-    std::ifstream file(positional[0]);
-    if (!file) return Status::IOError("cannot open " + positional[0]);
-    return ReadCsv(file, std::move(seed));
-  }();
-  if (!table.ok()) {
-    std::cerr << "input error: " << table.status() << "\n";
-    return 1;
-  }
-
-  QueryEngine engine(table->schema);
-  // Attach the dictionaries so checkpoints carry them.
-  if (Status status = engine.SetDictionaries(table->dictionaries);
-      !status.ok()) {
-    std::cerr << "dictionary error: " << status << "\n";
-    return 1;
-  }
-  if (!restore_path.empty()) {
-    Status restored = engine.Restore(restore_path);
-    if (!restored.ok()) {
-      std::cerr << "restore error: " << restored << "\n";
-      return 1;
-    }
-    if (engine.num_queries() == 0) {
-      std::cerr << "restore error: checkpoint holds no queries\n";
-      return 1;
-    }
-    std::cerr << "restored " << engine.num_queries() << " queries at "
-              << engine.tuples_seen() << " tuples from " << restore_path
-              << "\n";
-  }
-  for (size_t i = 1; i < positional.size(); ++i) {
-    auto parsed = ParseImplicationQuery(positional[i]);
-    if (!parsed.ok()) {
-      std::cerr << "parse error in query " << i << ": " << parsed.status()
-                << "\n";
-      return 1;
-    }
-    auto spec = BindQuery(*parsed, table->schema, &table->dictionaries);
-    if (!spec.ok()) {
-      std::cerr << "bind error in query " << i << ": " << spec.status()
-                << "\n";
-      return 1;
-    }
-    auto id = engine.Register(std::move(spec).value());
-    if (!id.ok()) {
-      std::cerr << "register error in query " << i << ": " << id.status()
-                << "\n";
-      return 1;
-    }
-  }
+  std::optional<examples::LoadedEngine> loaded = examples::LoadEngine(
+      positional[0], restore_path,
+      std::span<const std::string>(positional).subspan(1));
+  if (!loaded) return 1;
+  CsvTable& table = loaded->table;
+  QueryEngine& engine = *loaded->engine;
 
   for (const std::string& statement : trigger_statements) {
     StatusOr<std::string> name = engine.InstallTrigger(statement);
@@ -259,7 +160,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  while (auto tuple = table->stream.Next()) {
+  while (auto tuple = table.stream.Next()) {
     engine.ObserveTuple(*tuple);
     report_firings();
     reporter.Tick();

@@ -25,16 +25,17 @@
 // "Triggers & subscriptions" for the push protocol.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "cql/parser.h"
+#include "cli_common.h"
 #include "net/client.h"
-#include "util/fileio.h"
 
 namespace {
 
@@ -94,6 +95,14 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   }
   fields.push_back(field);
   return fields;
+}
+
+/// A query id argument (query, snapshot, merge), parsed strictly.
+bool ParseQueryId(const std::string& text, uint32_t* id) {
+  const std::optional<uint64_t> value = implistat::examples::ParseUint(
+      "query id", text, 0, std::numeric_limits<uint32_t>::max());
+  if (value) *id = static_cast<uint32_t>(*value);
+  return value.has_value();
 }
 
 int Observe(implistat::net::Client& client, std::istream& in,
@@ -185,60 +194,29 @@ int main(int argc, char** argv) {
   uint64_t count = 0;
   std::vector<std::string> trigger_statements;
   std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto take_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
+  examples::CommandLine flags(argc, argv);
+  while (flags.Next()) {
+    const std::string_view arg = flags.arg();
     if (arg == "--host") {
-      const char* v = take_value("--host");
-      if (v == nullptr) return 2;
-      host = v;
+      if (!flags.String(&host)) return 2;
     } else if (arg == "--port") {
-      const char* v = take_value("--port");
-      if (v == nullptr) return 2;
-      port = std::atoi(v);
+      if (!flags.Uint(&port, 1, 65535)) return 2;
     } else if (arg == "--pipeline") {
-      const char* v = take_value("--pipeline");
-      if (v == nullptr) return 2;
-      pipeline = std::atoi(v);
-      if (pipeline < 1) {
-        std::cerr << "--pipeline must be >= 1\n";
-        return 2;
-      }
-    } else if (arg == "--trigger") {
-      const char* v = take_value("--trigger");
-      if (v == nullptr) return 2;
-      StatusOr<std::string> script = ReadFileToString(v);
-      if (!script.ok()) {
-        std::cerr << "cannot read " << v << ": " << script.status() << "\n";
-        return 1;
-      }
-      for (std::string& statement : cql::SplitStatements(*script)) {
-        trigger_statements.push_back(std::move(statement));
-      }
-    } else if (arg == "--trigger-expr") {
-      const char* v = take_value("--trigger-expr");
-      if (v == nullptr) return 2;
-      for (std::string& statement : cql::SplitStatements(v)) {
-        trigger_statements.push_back(std::move(statement));
+      if (!flags.Uint(&pipeline, 1)) return 2;
+    } else if (flags.IsTrigger()) {
+      if (int code = flags.Triggers(&trigger_statements); code != 0) {
+        return code;
       }
     } else if (arg == "--count") {
-      const char* v = take_value("--count");
-      if (v == nullptr) return 2;
-      count = std::strtoull(v, nullptr, 10);
-    } else if (arg.rfind("--", 0) == 0) {
+      if (!flags.Uint(&count, 0)) return 2;
+    } else if (arg.starts_with("--")) {
       std::cerr << "unknown option " << arg << "\n";
       return Usage(argv[0]);
     } else {
-      positional.push_back(std::move(arg));
+      positional.emplace_back(arg);
     }
   }
-  if (positional.empty() || port <= 0 || port > 65535) return Usage(argv[0]);
+  if (positional.empty() || port == 0) return Usage(argv[0]);
   const std::string& command = positional[0];
 
   net::ClientOptions client_options;
@@ -272,9 +250,9 @@ int main(int argc, char** argv) {
   if (command == "query") {
     std::vector<uint32_t> ids;
     for (size_t i = 1; i < positional.size(); ++i) {
-      ids.push_back(
-          static_cast<uint32_t>(std::strtoul(positional[i].c_str(),
-                                             nullptr, 10)));
+      uint32_t id;
+      if (!ParseQueryId(positional[i], &id)) return 2;
+      ids.push_back(id);
     }
     auto response = client->Query(ids);
     if (!response.ok()) {
@@ -297,9 +275,9 @@ int main(int argc, char** argv) {
   }
   if (command == "snapshot") {
     if (positional.size() != 3) return Usage(argv[0]);
-    auto snapshot = client->Snapshot(
-        static_cast<uint32_t>(std::strtoul(positional[1].c_str(), nullptr,
-                                           10)));
+    uint32_t id;
+    if (!ParseQueryId(positional[1], &id)) return 2;
+    auto snapshot = client->Snapshot(id);
     if (!snapshot.ok()) {
       std::cerr << "snapshot error: " << snapshot.status() << "\n";
       return 1;
@@ -315,15 +293,14 @@ int main(int argc, char** argv) {
   }
   if (command == "merge") {
     if (positional.size() != 3) return Usage(argv[0]);
+    uint32_t id;
+    if (!ParseQueryId(positional[1], &id)) return 2;
     auto bytes = ReadFileToString(positional[2]);
     if (!bytes.ok()) {
       std::cerr << "read error: " << bytes.status() << "\n";
       return 1;
     }
-    Status status = client->Merge(
-        static_cast<uint32_t>(std::strtoul(positional[1].c_str(), nullptr,
-                                           10)),
-        *bytes);
+    Status status = client->Merge(id, *bytes);
     if (!status.ok()) {
       std::cerr << "merge error: " << status << "\n";
       return 1;

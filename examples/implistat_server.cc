@@ -26,21 +26,18 @@
 // mid-tier → root hierarchy. See README "Running a cluster".
 
 #include <csignal>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "cli_common.h"
 #include "cluster/supervisor.h"
-#include "cql/parser.h"
 #include "net/server.h"
 #include "obs/trace.h"
-#include "query/engine.h"
-#include "query/parser.h"
-#include "stream/csv_io.h"
-#include "util/fileio.h"
 
 namespace {
 
@@ -107,110 +104,53 @@ int main(int argc, char** argv) {
   std::vector<cluster::PeerConfig> peers;
   cluster::SupervisorOptions supervisor_options;
   std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto take_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
+  examples::CommandLine flags(argc, argv);
+  while (flags.Next()) {
+    const std::string_view arg = flags.arg();
     if (arg == "--port") {
-      const char* v = take_value("--port");
-      if (v == nullptr) return 2;
-      port = std::atoi(v);
+      if (!flags.Uint(&port, 0, 65535)) return 2;
     } else if (arg == "--bind") {
-      const char* v = take_value("--bind");
-      if (v == nullptr) return 2;
-      bind_address = v;
+      if (!flags.String(&bind_address)) return 2;
     } else if (arg == "--reactors") {
-      const char* v = take_value("--reactors");
-      if (v == nullptr) return 2;
-      reactors = std::atoi(v);
-      if (reactors < 1) {
-        std::cerr << "--reactors must be >= 1\n";
-        return 2;
-      }
+      if (!flags.Uint(&reactors, 1)) return 2;
     } else if (arg == "--pipeline-depth") {
-      const char* v = take_value("--pipeline-depth");
-      if (v == nullptr) return 2;
-      pipeline_depth = std::atoi(v);
-      if (pipeline_depth < 1) {
-        std::cerr << "--pipeline-depth must be >= 1\n";
-        return 2;
-      }
+      if (!flags.Uint(&pipeline_depth, 1)) return 2;
     } else if (arg == "--checkpoint") {
-      const char* v = take_value("--checkpoint");
-      if (v == nullptr) return 2;
-      checkpoint_path = v;
+      if (!flags.String(&checkpoint_path)) return 2;
     } else if (arg == "--restore") {
-      const char* v = take_value("--restore");
-      if (v == nullptr) return 2;
-      restore_path = v;
+      if (!flags.String(&restore_path)) return 2;
     } else if (arg == "--idle-timeout-ms") {
-      const char* v = take_value("--idle-timeout-ms");
-      if (v == nullptr) return 2;
-      idle_timeout_ms = std::atoll(v);
+      if (!flags.Uint(&idle_timeout_ms, 0)) return 2;
     } else if (arg == "--trace-sample") {
-      const char* v = take_value("--trace-sample");
-      if (v == nullptr) return 2;
-      trace_sample = std::atoi(v);
-      if (trace_sample < 0) {
-        std::cerr << "--trace-sample must be >= 0\n";
-        return 2;
-      }
+      if (!flags.Uint(&trace_sample, 0)) return 2;
     } else if (arg == "--trace-json") {
-      const char* v = take_value("--trace-json");
-      if (v == nullptr) return 2;
-      trace_json_path = v;
-    } else if (arg == "--trigger") {
-      const char* v = take_value("--trigger");
-      if (v == nullptr) return 2;
-      StatusOr<std::string> script = ReadFileToString(v);
-      if (!script.ok()) {
-        std::cerr << "cannot read " << v << ": " << script.status() << "\n";
-        return 1;
-      }
-      for (std::string& statement : cql::SplitStatements(*script)) {
-        trigger_statements.push_back(std::move(statement));
-      }
-    } else if (arg == "--trigger-expr") {
-      const char* v = take_value("--trigger-expr");
-      if (v == nullptr) return 2;
-      for (std::string& statement : cql::SplitStatements(v)) {
-        trigger_statements.push_back(std::move(statement));
+      if (!flags.String(&trace_json_path)) return 2;
+    } else if (flags.IsTrigger()) {
+      if (int code = flags.Triggers(&trigger_statements); code != 0) {
+        return code;
       }
     } else if (arg == "--peer") {
-      const char* v = take_value("--peer");
-      if (v == nullptr) return 2;
-      auto parsed = cluster::ParsePeerSpec(v);
+      std::string spec;
+      if (!flags.String(&spec)) return 2;
+      auto parsed = cluster::ParsePeerSpec(spec);
       if (!parsed.ok()) {
         std::cerr << "bad --peer: " << parsed.status() << "\n";
         return 2;
       }
       peers.push_back(std::move(parsed).value());
     } else if (arg == "--poll-interval-ms") {
-      const char* v = take_value("--poll-interval-ms");
-      if (v == nullptr) return 2;
-      supervisor_options.poll_interval_ms = std::atoll(v);
+      if (!flags.Uint(&supervisor_options.poll_interval_ms, 1)) return 2;
     } else if (arg == "--rpc-deadline-ms") {
-      const char* v = take_value("--rpc-deadline-ms");
-      if (v == nullptr) return 2;
-      supervisor_options.rpc_deadline_ms = std::atoll(v);
+      if (!flags.Uint(&supervisor_options.rpc_deadline_ms, 1)) return 2;
     } else if (arg == "--connect-timeout-ms") {
-      const char* v = take_value("--connect-timeout-ms");
-      if (v == nullptr) return 2;
-      supervisor_options.connect_timeout_ms = std::atoll(v);
+      if (!flags.Uint(&supervisor_options.connect_timeout_ms, 1)) return 2;
     } else if (arg == "--stale-after") {
-      const char* v = take_value("--stale-after");
-      if (v == nullptr) return 2;
-      supervisor_options.stale_after_failures = std::atoi(v);
-    } else if (arg.rfind("--", 0) == 0) {
+      if (!flags.Uint(&supervisor_options.stale_after_failures, 1)) return 2;
+    } else if (arg.starts_with("--")) {
       std::cerr << "unknown option " << arg << "\n";
       return Usage(argv[0]);
     } else {
-      positional.push_back(std::move(arg));
+      positional.emplace_back(arg);
     }
   }
   if (restore_path.empty()) {
@@ -225,79 +165,17 @@ int main(int argc, char** argv) {
                  "only the input file\n";
     return 2;
   }
-  if (port < 0 || port > 65535) {
-    std::cerr << "--port out of range\n";
-    return 2;
-  }
 
-  // Same restore flow as implistat_cli: recover the checkpoint's value
-  // dictionaries first and seed the CSV reader, so ids line up with the
-  // saved estimator states regardless of the replayed file's row order.
-  std::vector<ValueDictionary> seed;
-  if (!restore_path.empty()) {
-    StatusOr<std::string> bytes = ReadFileToString(restore_path);
-    if (!bytes.ok()) {
-      std::cerr << "restore error: " << bytes.status() << "\n";
-      return 1;
-    }
-    StatusOr<std::vector<ValueDictionary>> peeked =
-        PeekCheckpointDictionaries(*bytes);
-    if (!peeked.ok()) {
-      std::cerr << "restore error: " << peeked.status() << "\n";
-      return 1;
-    }
-    seed = std::move(peeked).value();
-  }
-
-  StatusOr<CsvTable> table = [&]() -> StatusOr<CsvTable> {
-    if (positional[0] == "-") return ReadCsv(std::cin, std::move(seed));
-    std::ifstream file(positional[0]);
-    if (!file) return Status::IOError("cannot open " + positional[0]);
-    return ReadCsv(file, std::move(seed));
-  }();
-  if (!table.ok()) {
-    std::cerr << "input error: " << table.status() << "\n";
-    return 1;
-  }
-
-  QueryEngine engine(table->schema);
-  if (Status status = engine.SetDictionaries(table->dictionaries);
-      !status.ok()) {
-    std::cerr << "dictionary error: " << status << "\n";
-    return 1;
-  }
-  if (!restore_path.empty()) {
-    if (Status status = engine.Restore(restore_path); !status.ok()) {
-      std::cerr << "restore error: " << status << "\n";
-      return 1;
-    }
-    std::cerr << "restored " << engine.num_queries() << " queries at "
-              << engine.tuples_seen() << " tuples\n";
-  }
-  for (size_t i = 1; i < positional.size(); ++i) {
-    auto parsed = ParseImplicationQuery(positional[i]);
-    if (!parsed.ok()) {
-      std::cerr << "parse error in query " << i << ": " << parsed.status()
-                << "\n";
-      return 1;
-    }
-    auto spec = BindQuery(*parsed, table->schema, &table->dictionaries);
-    if (!spec.ok()) {
-      std::cerr << "bind error in query " << i << ": " << spec.status()
-                << "\n";
-      return 1;
-    }
-    auto id = engine.Register(std::move(spec).value());
-    if (!id.ok()) {
-      std::cerr << "register error in query " << i << ": " << id.status()
-                << "\n";
-      return 1;
-    }
-  }
+  std::optional<examples::LoadedEngine> loaded = examples::LoadEngine(
+      positional[0], restore_path,
+      std::span<const std::string>(positional).subspan(1));
+  if (!loaded) return 1;
+  CsvTable& table = loaded->table;
+  QueryEngine& engine = *loaded->engine;
 
   // Feed the local CSV rows before serving — the server's own share of
   // the stream; remote batches then continue the count.
-  while (auto tuple = table->stream.Next()) engine.ObserveTuple(*tuple);
+  while (auto tuple = table.stream.Next()) engine.ObserveTuple(*tuple);
 
   // An aggregator captures those rows as its base contribution. The
   // supervisor polls peers on its own thread, but every fold is injected

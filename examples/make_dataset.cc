@@ -11,8 +11,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "cli_common.h"
 #include "datagen/dataset_one.h"
 #include "datagen/netflow_gen.h"
 #include "datagen/olap_gen.h"
@@ -20,9 +23,16 @@
 
 namespace {
 
-uint64_t Arg(int argc, char** argv, int index, uint64_t fallback) {
+// Positional argument `index`, or `fallback` when the command line ends
+// before it. A malformed value exits 2 after ParseUint names it.
+uint64_t Arg(int argc, char** argv, int index, const char* name,
+             uint64_t fallback, uint64_t min = 0,
+             uint64_t max = std::numeric_limits<uint64_t>::max()) {
   if (index >= argc) return fallback;
-  return std::strtoull(argv[index], nullptr, 10);
+  const std::optional<uint64_t> value =
+      implistat::examples::ParseUint(name, argv[index], min, max);
+  if (!value) std::exit(2);
+  return *value;
 }
 
 int EmitBounded(implistat::TupleStream& stream, uint64_t tuples) {
@@ -57,10 +67,13 @@ int main(int argc, char** argv) {
   std::string kind = argv[1];
   if (kind == "dataset-one") {
     DatasetOneParams params;
-    params.cardinality_a = Arg(argc, argv, 2, 1000);
-    params.implied_count = Arg(argc, argv, 3, params.cardinality_a / 2);
-    params.c = static_cast<uint32_t>(Arg(argc, argv, 4, 1));
-    params.seed = Arg(argc, argv, 5, 0);
+    params.cardinality_a = Arg(argc, argv, 2, "cardinality", 1000);
+    params.implied_count = Arg(argc, argv, 3, "implied",
+                               params.cardinality_a / 2, 0,
+                               params.cardinality_a);
+    params.c = static_cast<uint32_t>(
+        Arg(argc, argv, 4, "c", 1, 1, std::numeric_limits<uint32_t>::max()));
+    params.seed = Arg(argc, argv, 5, "seed", 0);
     DatasetOne data = GenerateDatasetOne(params);
     std::cerr << "ground truth: S=" << data.true_implication_count
               << " ~S=" << data.true_non_implication_count
@@ -77,15 +90,15 @@ int main(int argc, char** argv) {
   }
   if (kind == "netflow") {
     NetflowGenParams params;
-    params.seed = Arg(argc, argv, 3, 0);
+    params.seed = Arg(argc, argv, 3, "seed", 0);
     NetflowGenerator gen(params);
-    return EmitBounded(gen, Arg(argc, argv, 2, 100000));
+    return EmitBounded(gen, Arg(argc, argv, 2, "tuples", 100000));
   }
   if (kind == "olap") {
     OlapGenParams params;
-    params.seed = Arg(argc, argv, 3, 0);
+    params.seed = Arg(argc, argv, 3, "seed", 0);
     OlapGenerator gen(params);
-    return EmitBounded(gen, Arg(argc, argv, 2, 100000));
+    return EmitBounded(gen, Arg(argc, argv, 2, "tuples", 100000));
   }
   std::cerr << "unknown dataset kind: " << kind << "\n";
   return 2;

@@ -205,10 +205,8 @@ Status DistinctSampling::MergeFrom(const ImplicationEstimator& other) {
   if (const auto* ds = dynamic_cast<const DistinctSampling*>(&other)) {
     return Merge(*ds);
   }
-  IMPLISTAT_ASSIGN_OR_RETURN(std::string snapshot, other.SerializeState());
-  DistinctSampling decoded(conditions_, options_);
-  IMPLISTAT_RETURN_NOT_OK(decoded.RestoreState(snapshot));
-  return Merge(decoded);
+  return Status::InvalidArgument(name() + ": cannot merge " + other.name() +
+                                 " state");
 }
 
 }  // namespace implistat

@@ -119,12 +119,8 @@ Status ExactImplicationCounter::MergeFrom(const ImplicationEstimator& other) {
           dynamic_cast<const ExactImplicationCounter*>(&other)) {
     return Merge(*exact);
   }
-  // Wire-contract fallback (e.g. an instrumented wrapper around an exact
-  // counter): decode the snapshot into a temporary and merge that.
-  IMPLISTAT_ASSIGN_OR_RETURN(std::string snapshot, other.SerializeState());
-  ExactImplicationCounter decoded(conditions_);
-  IMPLISTAT_RETURN_NOT_OK(decoded.RestoreState(snapshot));
-  return Merge(decoded);
+  return Status::InvalidArgument(name() + ": cannot merge " + other.name() +
+                                 " state");
 }
 
 }  // namespace implistat

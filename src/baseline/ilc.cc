@@ -280,10 +280,8 @@ Status Ilc::MergeFrom(const ImplicationEstimator& other) {
   if (const auto* ilc = dynamic_cast<const Ilc*>(&other)) {
     return Merge(*ilc);
   }
-  IMPLISTAT_ASSIGN_OR_RETURN(std::string snapshot, other.SerializeState());
-  Ilc decoded(conditions_, options_);
-  IMPLISTAT_RETURN_NOT_OK(decoded.RestoreState(snapshot));
-  return Merge(decoded);
+  return Status::InvalidArgument(name() + ": cannot merge " + other.name() +
+                                 " state");
 }
 
 }  // namespace implistat

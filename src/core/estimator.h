@@ -97,10 +97,9 @@ class ImplicationEstimator {
   }
 
   /// Folds another estimator's state into this one, as if this estimator
-  /// had also observed the other's stream. Implementations accept any
-  /// `other` whose SerializeState produces a compatible snapshot (e.g.
-  /// an instrumented NIPS/CI merges into a bare one). On failure this
-  /// estimator is unchanged.
+  /// had also observed the other's stream. Implementations accept an
+  /// `other` of the same class and compatible configuration, and refuse
+  /// anything else. On failure this estimator is unchanged.
   virtual Status MergeFrom(const ImplicationEstimator& other) {
     (void)other;
     return Status::Unimplemented(name() + ": MergeFrom not supported");

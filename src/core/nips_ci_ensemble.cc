@@ -277,13 +277,8 @@ Status NipsCi::MergeFrom(const ImplicationEstimator& other) {
   if (const auto* nips = dynamic_cast<const NipsCi*>(&other)) {
     return Merge(*nips);
   }
-  // Anything else that snapshots as a NIPS/CI ensemble — an
-  // instrumented wrapper — merges through the wire contract.
-  IMPLISTAT_ASSIGN_OR_RETURN(std::string snapshot, other.SerializeState());
-  IMPLISTAT_ASSIGN_OR_RETURN(std::string_view payload,
-                             UnwrapSnapshot(snapshot, SnapshotKind::kNipsCi));
-  IMPLISTAT_ASSIGN_OR_RETURN(NipsCi decoded, Deserialize(payload));
-  return Merge(decoded);
+  return Status::InvalidArgument(name() + ": cannot merge " + other.name() +
+                                 " state");
 }
 
 namespace {

@@ -92,9 +92,8 @@ class NipsCi final : public ImplicationEstimator {
   static StatusOr<NipsCi> Deserialize(std::string_view bytes);
 
   /// Durable-state contract (core/estimator.h): Serialize/Deserialize/
-  /// Merge behind the kNipsCi snapshot envelope. MergeFrom accepts any
-  /// estimator whose snapshot is a hash-compatible NIPS/CI ensemble —
-  /// a NipsCi, or one wrapped for instrumentation.
+  /// Merge behind the kNipsCi snapshot envelope. MergeFrom accepts a
+  /// hash-compatible NipsCi and refuses any other kind.
   StatusOr<std::string> SerializeState() const override;
   Status RestoreState(std::string_view snapshot) override;
   Status MergeFrom(const ImplicationEstimator& other) override;

@@ -82,7 +82,7 @@ DatasetOne GenerateDatasetOne(const DatasetOneParams& params) {
   // Shuffle tuples (Fisher–Yates over rows); §6.1 shuffles the output file
   // to demonstrate order independence.
   const size_t rows = flat.size() / 2;
-  for (size_t i = rows - 1; i > 0; --i) {
+  for (size_t i = rows; i-- > 1;) {
     size_t j = rng.Uniform(i + 1);
     std::swap(flat[2 * i], flat[2 * j]);
     std::swap(flat[2 * i + 1], flat[2 * j + 1]);

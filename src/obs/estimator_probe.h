@@ -1,6 +1,6 @@
 // The standard StreamProgressReporter probe: reads S / ~S / memory from
-// any ImplicationEstimator and, when the estimator is (or wraps) a NipsCi
-// ensemble, the tracked-itemset occupancy against the §4.6 budget.
+// any ImplicationEstimator and, when the estimator is a NipsCi ensemble,
+// the tracked-itemset occupancy against the §4.6 budget.
 //
 // Header-only on purpose: it needs core headers (NipsCi), and keeping it
 // out of the obs library avoids an obs -> core -> obs link cycle — only
@@ -10,19 +10,17 @@
 #define IMPLISTAT_OBS_ESTIMATOR_PROBE_H_
 
 #include "core/nips_ci_ensemble.h"
-#include "obs/instrumented_estimator.h"
 #include "obs/progress.h"
 
 namespace implistat::obs {
 
 inline ProgressStats ProbeEstimator(const ImplicationEstimator& estimator) {
-  const ImplicationEstimator* est = Unwrap(&estimator);
   ProgressStats stats;
-  stats.implication = est->EstimateImplicationCount();
-  stats.non_implication = est->EstimateNonImplicationCount();
-  stats.memory_bytes = est->MemoryBytes();
+  stats.implication = estimator.EstimateImplicationCount();
+  stats.non_implication = estimator.EstimateNonImplicationCount();
+  stats.memory_bytes = estimator.MemoryBytes();
   stats.has_estimates = true;
-  if (const auto* nips = dynamic_cast<const NipsCi*>(est)) {
+  if (const auto* nips = dynamic_cast<const NipsCi*>(&estimator)) {
     stats.tracked_itemsets = nips->TrackedItemsets();
     stats.itemset_budget =
         static_cast<size_t>(nips->num_bitmaps()) *

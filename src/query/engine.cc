@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/instrumented_estimator.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
 #include "util/envelope.h"
@@ -459,8 +458,7 @@ Status QueryEngine::CommitSynopsisEstimator(
   if (id < 0 || id >= store_.size() || !store_.entry(id).live()) {
     return Status::NotFound("no such synopsis");
   }
-  // Same instrumentation wrap as Register.
-  store_.entry(id).estimator = obs::MaybeInstrument(std::move(estimator));
+  store_.entry(id).estimator = std::move(estimator);
   return Status::OK();
 }
 

@@ -140,10 +140,10 @@ class QueryEngine {
   Status RefoldSynopsisState(SynopsisId id,
                              const std::vector<std::string_view>& snapshots);
 
-  /// Swaps `estimator` in as synopsis `id`'s live state, instrumented
-  /// like every engine-built estimator — the commit half of a refold.
-  /// The caller built it from the synopsis recipe (FoldUnit) and merged
-  /// every contribution into it. NotFound for a dead synopsis.
+  /// Swaps `estimator` in as synopsis `id`'s live state — the commit
+  /// half of a refold. The caller built it from the synopsis recipe
+  /// (FoldUnit) and merged every contribution into it. NotFound for a
+  /// dead synopsis.
   Status CommitSynopsisEstimator(
       SynopsisId id, std::unique_ptr<ImplicationEstimator> estimator);
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/instrumented_estimator.h"
 #include "obs/metrics.h"
 #include "util/serde.h"
 
@@ -72,9 +71,7 @@ StatusOr<SynopsisId> SynopsisStore::Create(
       std::move(where),
       conditions,
       config,
-      // Same instrumentation wrap as the old per-query path, so
-      // per-estimator ingest metrics survive the refactor.
-      obs::MaybeInstrument(std::move(estimator)),
+      std::move(estimator),
       0,
   };
   const SynopsisId id = static_cast<SynopsisId>(entries_.size());

@@ -85,10 +85,9 @@ class SynopsisStore {
   /// a dedicated-layout checkpoint) are not found.
   SynopsisId Find(const std::string& key) const;
 
-  /// Builds a new entry (estimator constructed from conditions + config,
-  /// instrumented like every engine-built estimator) with refcount 0; the
-  /// caller binds queries via AddRef. The key is registered for Find only
-  /// if no live entry already claims it.
+  /// Builds a new entry (estimator constructed from conditions + config)
+  /// with refcount 0; the caller binds queries via AddRef. The key is
+  /// registered for Find only if no live entry already claims it.
   StatusOr<SynopsisId> Create(const AttributeSet& a_set,
                               const AttributeSet& b_set,
                               std::shared_ptr<const Predicate> where,

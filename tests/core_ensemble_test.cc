@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "baseline/exact_counter.h"
-#include "obs/instrumented_estimator.h"
 #include "query/engine.h"
 #include "util/random.h"
 
@@ -233,8 +232,8 @@ TEST(NipsCiMemoryTest, EngineTotalEqualsTheWalkOverItsSynopses) {
   auto walk = [](const QueryEngine& engine) {
     std::set<const NipsCi*> synopses;
     for (QueryId id : engine.ActiveQueryIds()) {
-      const auto* nips = dynamic_cast<const NipsCi*>(
-          obs::Unwrap(engine.Estimator(id).value()));
+      const auto* nips =
+          dynamic_cast<const NipsCi*>(engine.Estimator(id).value());
       EXPECT_NE(nips, nullptr);
       if (nips != nullptr) synopses.insert(nips);
     }

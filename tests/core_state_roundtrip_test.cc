@@ -194,6 +194,32 @@ TEST(StateRoundtripTest, MergeAcrossRestart) {
   EXPECT_EQ(*replaced_bytes, *direct_bytes);
 }
 
+// MergeFrom folds only state of its own kind. Any other kind is refused
+// with InvalidArgument, and the refused merge leaves the target's state
+// byte-identical.
+TEST(StateRoundtripTest, MergeFromAnotherKindIsRefusedUnchanged) {
+  for (const Kind& target_kind : AllKinds()) {
+    if (target_kind.name == "iss" || target_kind.name == "sliding_nips_ci") {
+      continue;  // these kinds do not merge at all
+    }
+    for (const Kind& other_kind : AllKinds()) {
+      if (other_kind.name == target_kind.name) continue;
+      SCOPED_TRACE(target_kind.name + " <- " + other_kind.name);
+      std::unique_ptr<ImplicationEstimator> target = target_kind.make();
+      std::unique_ptr<ImplicationEstimator> other = other_kind.make();
+      Feed(target.get(), 0, kCut);
+      Feed(other.get(), kCut, kStream);
+      auto before = target->SerializeState();
+      ASSERT_TRUE(before.ok());
+      EXPECT_EQ(target->MergeFrom(*other).code(),
+                StatusCode::kInvalidArgument);
+      auto after = target->SerializeState();
+      ASSERT_TRUE(after.ok());
+      EXPECT_EQ(*after, *before);
+    }
+  }
+}
+
 TEST(StateRoundtripTest, ExactCounterMergeFromMatchesUnion) {
   auto exact_a = std::make_unique<ExactImplicationCounter>(TestConditions());
   auto exact_b = std::make_unique<ExactImplicationCounter>(TestConditions());

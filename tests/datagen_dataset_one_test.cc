@@ -102,6 +102,20 @@ TEST(DatasetOneTest, DeterministicPerSeed) {
   EXPECT_EQ((*t1)[1], (*t2)[1]);
 }
 
+// |A| = 0 is a valid, empty dataset: no tuples and zero truths (the
+// shuffle must not underflow on zero rows).
+TEST(DatasetOneTest, EmptyDatasetHasNoTuples) {
+  DatasetOneParams params;
+  params.cardinality_a = 0;
+  params.implied_count = 0;
+  DatasetOne data = GenerateDatasetOne(params);
+  EXPECT_EQ(data.stream.num_tuples(), 0u);
+  EXPECT_FALSE(data.stream.Next().has_value());
+  EXPECT_EQ(data.true_implication_count, 0u);
+  EXPECT_EQ(data.true_non_implication_count, 0u);
+  EXPECT_EQ(data.true_supported_distinct, 0u);
+}
+
 TEST(DatasetOneTest, StreamSizeMatchesRecipe) {
   // For c = 1 every qualifying itemset contributes 54 tuples, kind-1
   // 50·u + 64, kind-2 exactly 50, kind-3 exactly 40.

@@ -9,10 +9,9 @@
 // Only obs/metrics.h and the exporter headers are included here: those
 // are safe because the classes the alias switch selects live in distinct
 // namespaces (real / nullimpl), so this TU defines nothing that another
-// TU defines differently. Headers that embed the aliases in class layout
-// (obs/progress.h, obs/instrumented_estimator.h) must NOT be included
-// under a forced macro — that would be an ODR violation against the
-// library build.
+// TU defines differently. A header that embeds the aliases in class
+// layout (obs/progress.h) must NOT be included under a forced macro —
+// that would be an ODR violation against the library build.
 
 #undef IMPLISTAT_METRICS
 #define IMPLISTAT_METRICS 0

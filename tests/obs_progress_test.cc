@@ -12,6 +12,7 @@
 #include "obs/estimator_probe.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
+#include "query/engine.h"
 
 namespace implistat::obs {
 namespace {
@@ -162,6 +163,36 @@ TEST(ProgressProbeTest, ProbeReadsANipsCiEstimator) {
   EXPECT_EQ(stats.memory_bytes, nips.MemoryBytes());
   EXPECT_GE(stats.implication, 0.0);
   EXPECT_GE(stats.non_implication, 0.0);
+}
+
+// implistat_cli's --metrics-every path: the probe reads the estimator the
+// engine serves, which is the NipsCi itself, so the occupancy line shows
+// the §4.6 budget at the default m = 64, F = 4, capacity factor 2.
+TEST(ProgressProbeTest, ProbeReadsAnEngineHeldNipsCi) {
+  QueryEngine engine(Schema({{"Source", 512}, {"Destination", 16}}));
+  ImplicationQuerySpec spec;
+  spec.a_attributes = {"Source"};
+  spec.b_attributes = {"Destination"};
+  spec.conditions.max_multiplicity = 1;
+  spec.conditions.min_support = 1;
+  spec.conditions.min_top_confidence = 1.0;
+  const QueryId id = engine.Register(spec).value();
+  // Every source keeps one destination: all implications, so the fringe
+  // keeps tracking itemsets.
+  for (uint64_t i = 0; i < 5000; ++i) {
+    const std::vector<ValueId> row = {static_cast<ValueId>(i % 509),
+                                      static_cast<ValueId>(i % 509 % 13)};
+    engine.ObserveTuple(TupleRef(row.data(), row.size()));
+  }
+  const ImplicationEstimator* served = engine.Estimator(id).value();
+  const auto* nips = dynamic_cast<const NipsCi*>(served);
+  ASSERT_NE(nips, nullptr);
+  ProgressStats stats = ProbeEstimator(*served);
+  EXPECT_TRUE(stats.has_tracking);
+  EXPECT_EQ(stats.itemset_budget, 64u * 2u * 15u);
+  EXPECT_EQ(stats.tracked_itemsets, nips->TrackedItemsets());
+  EXPECT_GT(stats.tracked_itemsets, 0u);
+  EXPECT_EQ(stats.memory_bytes, nips->MemoryBytes());
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "core/ci.h"
 #include "core/nips_ci_ensemble.h"
-#include "obs/instrumented_estimator.h"
 #include "stream/csv_io.h"
 
 namespace implistat {
@@ -305,8 +304,7 @@ TEST_F(EngineTable1Test, AllEstimatorKindsRegister) {
 
 // A complement (~S) answer carries ~S's own error bar, not S's: NIPS/CI's
 // jackknife computes both, and AnswerEx must serve the one that matches
-// the estimate. Read through the engine's metrics wrapper, which must
-// forward the readout.
+// the estimate.
 TEST(EngineStdErrorTest, ComplementAnswersCarryTheNonImplicationBar) {
   QueryEngine engine(Schema({{"Source", 4096}, {"Destination", 64}}));
   auto spec = [](EstimatorKind kind, bool complement) {
@@ -339,11 +337,7 @@ TEST(EngineStdErrorTest, ComplementAnswersCarryTheNonImplicationBar) {
   }
 
   const ImplicationEstimator* served = engine.Estimator(nips_not_s).value();
-  if constexpr (obs::kMetricsEnabled) {
-    ASSERT_NE(dynamic_cast<const obs::InstrumentedEstimator*>(served),
-              nullptr);
-  }
-  const auto* nips = dynamic_cast<const NipsCi*>(obs::Unwrap(served));
+  const auto* nips = dynamic_cast<const NipsCi*>(served);
   ASSERT_NE(nips, nullptr);
   const CiEstimate bars = CiEnsembleStdError(
       std::span<const Nips>(&nips->bitmap(0), nips->num_bitmaps()));

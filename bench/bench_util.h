@@ -1,7 +1,8 @@
 // Shared helpers for the reproduction benches.
 //
 // Every bench prints the paper table/figure it regenerates as plain rows
-// on stdout. Scale knobs (all optional):
+// on stdout. Scale knobs (all optional; a set but malformed integer knob
+// exits 2 with a message naming it):
 //   IMPLISTAT_TRIALS  — trials per configuration (default 3; paper: 100)
 //   IMPLISTAT_FULL=1  — paper-scale sweeps (|A| up to 100000, streams up
 //                       to 5.38M tuples); default is a laptop-quick run.
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -26,14 +28,24 @@
 
 #include "obs/export_json.h"
 #include "obs/metrics.h"
+#include "util/parse_uint.h"
 
 namespace implistat::bench {
 
-inline int EnvTrials(int def = 3) {
-  const char* v = std::getenv("IMPLISTAT_TRIALS");
+/// The integer in environment variable `name` (ParseUint rules, so
+/// `1e3` and `abc` are refused), or `def` when it is unset. A malformed
+/// value exits 2.
+inline uint64_t EnvUint(const char* name, uint64_t def, uint64_t min,
+                        uint64_t max = UINT64_MAX) {
+  const char* v = std::getenv(name);
   if (v == nullptr) return def;
-  int n = std::atoi(v);
-  return n >= 1 ? n : def;
+  const std::optional<uint64_t> value = ParseUint(name, v, min, max);
+  if (!value) std::exit(2);
+  return *value;
+}
+
+inline int EnvTrials(int def = 3) {
+  return static_cast<int>(EnvUint("IMPLISTAT_TRIALS", def, 1, INT32_MAX));
 }
 
 inline bool EnvFull() {
@@ -42,8 +54,7 @@ inline bool EnvFull() {
 }
 
 inline uint64_t EnvMetricsEvery() {
-  const char* v = std::getenv("IMPLISTAT_METRICS_EVERY");
-  return v == nullptr ? 0 : std::strtoull(v, nullptr, 10);
+  return EnvUint("IMPLISTAT_METRICS_EVERY", 0, 0);
 }
 
 inline const char* EnvMetricsJson() {

@@ -1,14 +1,13 @@
-// Command-line plumbing shared by the example binaries: one strict integer
-// parser for flag values, `--flag value` iteration, the --trigger /
-// --trigger-expr flags, and the engine setup that implistat_cli and
-// implistat_server run before they stream or serve.
+// Command-line plumbing shared by the example binaries: `--flag value`
+// iteration with strict integer values (util/parse_uint.h), the
+// --trigger / --trigger-expr flags, and the engine setup that
+// implistat_cli and implistat_server run before they stream or serve.
 //
 // Header-only, so the binaries need no library of their own.
 
 #ifndef IMPLISTAT_EXAMPLES_CLI_COMMON_H_
 #define IMPLISTAT_EXAMPLES_CLI_COMMON_H_
 
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -26,31 +25,9 @@
 #include "query/parser.h"
 #include "stream/csv_io.h"
 #include "util/fileio.h"
+#include "util/parse_uint.h"
 
 namespace implistat::examples {
-
-/// Parses `text` as a decimal integer in [min, max]. Only the digits 0-9
-/// are accepted, so an empty value, a sign, an exponent, trailing text and
-/// an out-of-range value all fail; the failure prints a message that
-/// names `what` (the flag or argument) and returns nullopt.
-inline std::optional<uint64_t> ParseUint(
-    std::string_view what, std::string_view text, uint64_t min,
-    uint64_t max = std::numeric_limits<uint64_t>::max()) {
-  uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc() && ptr == end && value >= min && value <= max) {
-    return value;
-  }
-  std::cerr << what << ": invalid value '" << text
-            << "' (expected an integer ";
-  if (max == std::numeric_limits<uint64_t>::max()) {
-    std::cerr << ">= " << min << ")\n";
-  } else {
-    std::cerr << "in [" << min << ", " << max << "])\n";
-  }
-  return std::nullopt;
-}
 
 /// Walks argv for `--flag value` options. The accessors read the value of
 /// the current flag and print a message naming it when that value is

@@ -99,7 +99,7 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
 
 /// A query id argument (query, snapshot, merge), parsed strictly.
 bool ParseQueryId(const std::string& text, uint32_t* id) {
-  const std::optional<uint64_t> value = implistat::examples::ParseUint(
+  const std::optional<uint64_t> value = implistat::ParseUint(
       "query id", text, 0, std::numeric_limits<uint32_t>::max());
   if (value) *id = static_cast<uint32_t>(*value);
   return value.has_value();

@@ -30,7 +30,7 @@ uint64_t Arg(int argc, char** argv, int index, const char* name,
              uint64_t max = std::numeric_limits<uint64_t>::max()) {
   if (index >= argc) return fallback;
   const std::optional<uint64_t> value =
-      implistat::examples::ParseUint(name, argv[index], min, max);
+      implistat::ParseUint(name, argv[index], min, max);
   if (!value) std::exit(2);
   return *value;
 }

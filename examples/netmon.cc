@@ -17,17 +17,30 @@
 //
 // all in NIPS/CI's bounded memory, no per-flow state. The DDoS alert is a
 // CREATE TRIGGER rule (DESIGN.md §12) evaluated at every window boundary.
+//
+// `netmon --smoke` checks the story instead of printing it (ctest
+// netmon_triggers_smoke, label cql): the rule must fire during the DDoS,
+// first in (600000, 700000], and never on the same generator with no
+// episodes.
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "datagen/netflow_gen.h"
 #include "query/engine.h"
 
-int main() {
-  using namespace implistat;
+namespace {
 
+using namespace implistat;
+
+struct RunResult {
+  uint64_t firings = 0;
+  uint64_t first_epoch = 0;
+};
+
+RunResult Run(bool episodes, bool verbose) {
   NetflowGenParams params;
   params.seed = 2024;
   params.num_sources = 1 << 20;  // IPv4-ish sparsity: spoofed IPs are fresh
@@ -50,7 +63,7 @@ int main() {
   slow_ddos.length = 200000;
   slow_ddos.intensity = 0.35;
   slow_ddos.focus = 99;
-  params.episodes = {crowd, ddos, slow_ddos};
+  if (episodes) params.episodes = {crowd, ddos, slow_ddos};
   NetflowGenerator gen(params);
 
   QueryEngine engine(gen.schema());
@@ -78,9 +91,11 @@ int main() {
 
   constexpr uint64_t kTotal = 1150000;
   constexpr uint64_t kWindow = 50000;
-  std::printf("%9s %13s %8s %13s %8s %13s   %s\n", "tuples",
-              "single-dest", "+delta", "multi-dest", "+delta", "excl-dest",
-              "alerts");
+  if (verbose) {
+    std::printf("%9s %13s %8s %13s %8s %13s   %s\n", "tuples",
+                "single-dest", "+delta", "multi-dest", "+delta", "excl-dest",
+                "alerts");
+  }
 
   const ImplicationEstimator* src_est = engine.Estimator(src_query).value();
 
@@ -98,9 +113,10 @@ int main() {
   if (!installed.ok()) {
     std::fprintf(stderr, "%s\n",
                  std::string(installed.status().message()).c_str());
-    return EXIT_FAILURE;
+    std::exit(EXIT_FAILURE);
   }
 
+  RunResult result;
   double prev_s = 0, prev_ns = 0;
   for (uint64_t i = 0; i < kTotal; ++i) {
     engine.ObserveTuple(*gen.Next());
@@ -109,17 +125,23 @@ int main() {
     double s = engine.Answer(src_query).value();
     double ns = src_est->EstimateNonImplicationCount();
     double excl = engine.Answer(dst_query).value();
-    std::printf("%9llu %13.0f %8.0f %13.0f %8.0f %13.0f   ",
-                static_cast<unsigned long long>(i + 1), s, s - prev_s, ns,
-                ns - prev_ns, excl);
-    for (const cql::TriggerFiring& firing : engine.TakeTriggerFirings()) {
-      std::printf("ALERT: %s (spoofed-source flood suspected)",
-                  firing.trigger.c_str());
+    if (verbose) {
+      std::printf("%9llu %13.0f %8.0f %13.0f %8.0f %13.0f   ",
+                  static_cast<unsigned long long>(i + 1), s, s - prev_s, ns,
+                  ns - prev_ns, excl);
     }
-    std::printf("\n");
+    for (const cql::TriggerFiring& firing : engine.TakeTriggerFirings()) {
+      if (result.firings++ == 0) result.first_epoch = firing.epoch;
+      if (verbose) {
+        std::printf("ALERT: %s (spoofed-source flood suspected)",
+                    firing.trigger.c_str());
+      }
+    }
+    if (verbose) std::printf("\n");
     prev_s = s;
     prev_ns = ns;
   }
+  if (!verbose) return result;
 
   std::printf("\nGround truth: flash crowd on dest 1234 @300k-400k, DDoS on\n"
               "dest 42 @600k-700k, low-rate DDoS on dest 99 @850k-1050k.\n");
@@ -129,5 +151,36 @@ int main() {
     std::printf("  query %d (%s): %zu bytes, m=64 bitmaps, F=4 fringe\n",
                 id, est->name().c_str(), est->MemoryBytes());
   }
+  return result;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2 || std::strcmp(argv[1], "--smoke") != 0) {
+    Run(/*episodes=*/true, /*verbose=*/true);
+    return 0;
+  }
+  const RunResult incident = Run(/*episodes=*/true, /*verbose=*/false);
+  const RunResult quiet = Run(/*episodes=*/false, /*verbose=*/false);
+  std::printf("with episodes: %llu firing(s), first at %llu tuples; "
+              "quiet: %llu firing(s)\n",
+              static_cast<unsigned long long>(incident.firings),
+              static_cast<unsigned long long>(incident.first_epoch),
+              static_cast<unsigned long long>(quiet.firings));
+  if (incident.firings == 0) {
+    std::fprintf(stderr, "SMOKE FAILED: the rule never fired on the DDoS\n");
+    return 1;
+  }
+  if (incident.first_epoch <= 600000 || incident.first_epoch > 700000) {
+    std::fprintf(stderr,
+                 "SMOKE FAILED: first firing outside the DDoS window\n");
+    return 1;
+  }
+  if (quiet.firings != 0) {
+    std::fprintf(stderr, "SMOKE FAILED: the rule fired on quiet traffic\n");
+    return 1;
+  }
+  std::printf("smoke OK\n");
   return 0;
 }

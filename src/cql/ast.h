@@ -6,7 +6,9 @@
 // <expr> is arithmetic/comparison over query estimates (bare labels or
 // the VALUE keyword for the ON label), MOVING_AVG(label, window),
 // DELTA(label), and numeric literals. Nodes keep their source span so
-// sema can point a caret at the exact subexpression it rejects.
+// sema can point a caret at the exact subexpression it rejects. Sema
+// resolves each label node to a slot of the trigger's input table, and
+// the checked tree is what the trigger engine evaluates.
 
 #ifndef IMPLISTAT_CQL_AST_H_
 #define IMPLISTAT_CQL_AST_H_
@@ -56,6 +58,7 @@ struct Expr {
   std::string label;           // kLabelRef/kMovingAvg/kDelta; empty = VALUE
   bool label_is_value = false;  // true when written as the VALUE keyword
   uint64_t window = 0;         // kMovingAvg
+  uint32_t slot = 0;           // label nodes: input slot, set by sema
   BinaryOp binary_op = BinaryOp::kAdd;
   UnaryOp unary_op = UnaryOp::kNeg;
   std::unique_ptr<Expr> lhs;  // kUnary operand / kBinary left

@@ -1,5 +1,6 @@
 #include "cql/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <string>
@@ -30,6 +31,13 @@ struct InfixOp {
   int precedence;
 };
 
+// A parsed expression and the number of levels its deepest leaf sits
+// below its root (0 for a leaf; see kMaxExprDepth).
+struct Parsed {
+  std::unique_ptr<Expr> expr;
+  int height = 0;
+};
+
 class Parser {
  public:
   Parser(std::string_view source, std::vector<Token> tokens)
@@ -49,9 +57,9 @@ class Parser {
     decl.on_label = std::move(label).value();
     decl.on_label_span = on_span;
     if (!ConsumeKeyword("WHEN")) return Expected("WHEN");
-    StatusOr<std::unique_ptr<Expr>> cond = ParseExpr(kPrecNone);
+    StatusOr<Parsed> cond = ParseExpr(kPrecNone, 0);
     if (!cond.ok()) return cond.status();
-    decl.condition = std::move(cond).value();
+    decl.condition = std::move(cond->expr);
     while (true) {
       if (ConsumeKeyword("EVERY")) {
         StatusOr<uint64_t> n = ConsumePositiveInt("EVERY");
@@ -75,12 +83,12 @@ class Parser {
   }
 
   StatusOr<std::unique_ptr<Expr>> ParseBareExpression() {
-    StatusOr<std::unique_ptr<Expr>> expr = ParseExpr(kPrecNone);
+    StatusOr<Parsed> expr = ParseExpr(kPrecNone, 0);
     if (!expr.ok()) return expr.status();
     if (Peek().kind != TokenKind::kEnd) {
       return Fail(Peek().span, "trailing input after expression");
     }
-    return expr;
+    return std::move(expr->expr);
   }
 
  private:
@@ -101,6 +109,14 @@ class Parser {
   Status Fail(SourceSpan span, std::string message) const {
     return DiagnosticToStatus(source_, {std::move(message), span},
                               "trigger parse error");
+  }
+  // `span` opens a level past kMaxExprDepth. Refusing it here, before
+  // descending, bounds the recursion of this parser, of sema and of the
+  // evaluator alike.
+  Status TooDeep(SourceSpan span) const {
+    std::string message = "expression nested deeper than ";
+    message.append(std::to_string(kMaxExprDepth)).append(" levels");
+    return Fail(span, std::move(message));
   }
   Status Expected(std::string_view what) {
     // Built with append: GCC 12 at -O3 misreports `"'" + std::string(...)`
@@ -168,46 +184,55 @@ class Parser {
     return false;
   }
 
-  StatusOr<std::unique_ptr<Expr>> ParseExpr(int min_precedence) {
-    StatusOr<std::unique_ptr<Expr>> lhs = ParsePrefix();
+  // Parses an expression whose root sits `depth` levels below the WHEN
+  // expression's.
+  StatusOr<Parsed> ParseExpr(int min_precedence, int depth) {
+    StatusOr<Parsed> lhs = ParsePrefix(depth);
     if (!lhs.ok()) return lhs.status();
-    std::unique_ptr<Expr> node = std::move(lhs).value();
+    Parsed node = std::move(lhs).value();
     while (true) {
       InfixOp op;
       if (!MatchInfix(Peek(), &op) || op.precedence <= min_precedence) break;
       SourceSpan op_span = Advance().span;
-      StatusOr<std::unique_ptr<Expr>> rhs = ParseExpr(op.precedence);
+      // Both operands sit one level below the operator, so each operator
+      // of a left-associative chain pushes the chain so far one deeper.
+      if (depth + node.height + 1 > kMaxExprDepth) return TooDeep(op_span);
+      StatusOr<Parsed> rhs = ParseExpr(op.precedence, depth + 1);
       if (!rhs.ok()) return rhs.status();
       auto combined = std::make_unique<Expr>();
       combined->kind = ExprKind::kBinary;
       combined->span = op_span;
       combined->binary_op = op.op;
-      combined->lhs = std::move(node);
-      combined->rhs = std::move(rhs).value();
-      node = std::move(combined);
+      combined->lhs = std::move(node.expr);
+      combined->rhs = std::move(rhs->expr);
+      node.expr = std::move(combined);
+      node.height = 1 + std::max(node.height, rhs->height);
     }
     return node;
   }
 
-  StatusOr<std::unique_ptr<Expr>> ParsePrefix() {
+  StatusOr<Parsed> ParsePrefix(int depth) {
     const Token& t = Peek();
     if (t.IsPunct("-") || t.IsPunct("!") || t.IsKeyword("NOT")) {
       UnaryOp op = t.IsPunct("-") ? UnaryOp::kNeg : UnaryOp::kNot;
+      if (depth + 1 > kMaxExprDepth) return TooDeep(t.span);
       SourceSpan span = Advance().span;
-      StatusOr<std::unique_ptr<Expr>> operand = ParseExpr(kPrecUnary);
+      StatusOr<Parsed> operand = ParseExpr(kPrecUnary, depth + 1);
       if (!operand.ok()) return operand.status();
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::kUnary;
       node->span = span;
       node->unary_op = op;
-      node->lhs = std::move(operand).value();
-      return node;
+      node->lhs = std::move(operand->expr);
+      return Parsed{std::move(node), operand->height + 1};
     }
     if (t.IsPunct("(")) {
+      if (depth + 1 > kMaxExprDepth) return TooDeep(t.span);
       Advance();
-      StatusOr<std::unique_ptr<Expr>> inner = ParseExpr(kPrecNone);
+      StatusOr<Parsed> inner = ParseExpr(kPrecNone, depth + 1);
       if (!inner.ok()) return inner.status();
       if (!ConsumePunct(")")) return Expected("')'");
+      ++inner->height;
       return inner;
     }
     if (t.kind == TokenKind::kNumber) {
@@ -216,7 +241,7 @@ class Parser {
       node->kind = ExprKind::kLiteral;
       node->span = t.span;
       node->literal = t.number;
-      return node;
+      return Parsed{std::move(node)};
     }
     if (t.IsKeyword("MOVING_AVG") || t.IsKeyword("DELTA")) {
       bool is_ma = t.IsKeyword("MOVING_AVG");
@@ -243,7 +268,7 @@ class Parser {
         node->window = *w;
       }
       if (!ConsumePunct(")")) return Expected("')'");
-      return node;
+      return Parsed{std::move(node)};
     }
     if (t.IsKeyword("VALUE")) {
       Advance();
@@ -251,7 +276,7 @@ class Parser {
       node->kind = ExprKind::kLabelRef;
       node->span = t.span;
       node->label_is_value = true;
-      return node;
+      return Parsed{std::move(node)};
     }
     if (t.kind == TokenKind::kIdent || t.kind == TokenKind::kString) {
       Advance();
@@ -259,7 +284,7 @@ class Parser {
       node->kind = ExprKind::kLabelRef;
       node->span = t.span;
       node->label = std::string(t.text);
-      return node;
+      return Parsed{std::move(node)};
     }
     return Expected("an expression");
   }

@@ -16,13 +16,22 @@
 namespace implistat {
 namespace cql {
 
+/// How deep an expression may nest. The WHEN expression's root is level
+/// 0; each `(`, each unary operator and each operand of a binary operator
+/// is one level further down. The parser refuses a leaf deeper than this
+/// with a caret at the token that opens the extra level, which bounds the
+/// recursion of the parser, sema and the evaluator. So `a + a + ... > 1`
+/// takes at most 64 terms: its first term sits one level below each `+`
+/// and the `>`.
+inline constexpr int kMaxExprDepth = 64;
+
 /// Parses `CREATE TRIGGER name ON label WHEN expr [EVERY n TUPLES]
 /// [COOLDOWN n]`. A trailing `;` is tolerated. Label resolution happens
 /// later in sema; this only checks shape.
 StatusOr<TriggerDecl> ParseCreateTrigger(std::string_view source);
 
-/// Parses a bare boolean/arithmetic expression (used by tests and the
-/// VM fuzzer to exercise the expression grammar in isolation).
+/// Parses a bare boolean/arithmetic expression (used by tests to exercise
+/// the expression grammar in isolation).
 StatusOr<std::unique_ptr<Expr>> ParseExpression(std::string_view source);
 
 /// Splits a trigger script into individual statements on top-level `;`,

@@ -1,18 +1,21 @@
-// TriggerEngine: armed trigger programs evaluated at epoch boundaries.
+// TriggerEngine: armed CREATE TRIGGER statements evaluated at epoch
+// boundaries.
 //
 // QueryEngine owns one of these (created lazily on first install) and
 // calls Tick(tuples_seen) from its ingest paths. Tick is a single
 // compare against the earliest due epoch, so per-tuple cost is
 // negligible until a trigger is actually due; evaluation then refreshes
 // the trigger's input slots (estimates, moving-average rings, deltas),
-// runs the bytecode VM, and applies edge-triggered semantics: a firing
-// is recorded only on a false→true transition, and COOLDOWN suppresses
-// re-arming for that many tuples after a firing.
+// walks the checked WHEN tree sema produced, and applies edge-triggered
+// semantics: a firing is recorded only on a false→true transition, and
+// COOLDOWN suppresses re-arming for that many tuples after a firing.
 //
-// The whole engine — specs, compiled programs, MA rings, armed/cooldown
-// state — serializes into the kTriggerStore snapshot section so firings
-// resume correctly across checkpoint/restore (mid-cooldown included).
-// Restore decodes into temporaries and refuses bad bytes wholesale.
+// The engine serializes into the kTriggerStore snapshot section as each
+// trigger's statement text plus its runtime state (schedule, edge and
+// cooldown state, MA rings, delta bookkeeping), so firings resume
+// correctly across checkpoint/restore (mid-cooldown included). Restore
+// recompiles every statement exactly as Install does, against the
+// restored catalog, and refuses bad bytes wholesale.
 
 #ifndef IMPLISTAT_CQL_TRIGGER_ENGINE_H_
 #define IMPLISTAT_CQL_TRIGGER_ENGINE_H_
@@ -28,6 +31,15 @@
 
 namespace implistat {
 namespace cql {
+
+/// True iff `value` counts as a satisfied condition (non-zero, non-NaN).
+bool Truthy(double value);
+
+/// Evaluates a checked tree (CompiledTrigger::condition or any of its
+/// subtrees); a label node reads `slot_values[node.slot]`. Arithmetic is
+/// IEEE (`%` is fmod), booleans are 1.0/0.0, comparisons involving NaN
+/// are false, and AND/OR evaluate both operands.
+double EvalExpr(const Expr& expr, const double* slot_values);
 
 /// Estimate lookup for armed triggers; QueryEngine implements this.
 class EstimateSource : public LabelCatalog {
@@ -60,8 +72,8 @@ class TriggerEngine {
   explicit TriggerEngine(const EstimateSource* source,
                          uint64_t default_every = 1024);
 
-  /// Parses + compiles + arms one CREATE TRIGGER statement. Duplicate
-  /// names are AlreadyExists. Returns the trigger name.
+  /// Compiles and arms one CREATE TRIGGER statement. Duplicate names are
+  /// AlreadyExists. Returns the trigger name.
   StatusOr<std::string> Install(std::string_view statement,
                                 uint64_t tuples_seen);
 
@@ -82,9 +94,11 @@ class TriggerEngine {
 
   /// kTriggerStore payload (the caller wraps it in the envelope).
   void SerializeTo(ByteWriter* out) const;
-  /// Replaces this engine's triggers from a serialized payload. Validates
-  /// everything (programs, labels vs. the catalog, ring shapes) before
-  /// touching state; on error the engine is left unchanged.
+  /// Replaces this engine's triggers from a serialized payload. Every
+  /// statement is recompiled against the catalog and checked for a
+  /// duplicate name as Install does, and its saved slot state must fit
+  /// the recompiled slot table; on any error the engine is left
+  /// unchanged.
   Status RestoreFrom(std::string_view payload);
 
  private:
@@ -107,6 +121,11 @@ class TriggerEngine {
 
   void Evaluate(uint64_t tuples_seen);
   void RecomputeNextDue();
+  // Install and RestoreFrom admit a statement by the same rules: compile
+  // it against the catalog, then refuse a name `armed` already holds.
+  StatusOr<CompiledTrigger> Admit(std::string_view statement,
+                                  uint64_t default_every,
+                                  const std::vector<Armed>& armed) const;
   static Armed ArmFromCompiled(CompiledTrigger compiled, uint64_t tuples_seen);
 
   const EstimateSource* source_;

@@ -287,6 +287,42 @@ TEST(TriggerEngineTest, RestoreRefusesCorruptPayloadWholesale) {
   EXPECT_FALSE(target.RestoreFrom(bytes).ok());
 }
 
+// A checkpoint holds statement text, so restore admits a statement only
+// as Install would: one that names an armed trigger again is refused,
+// and the refusal leaves the target as it was.
+TEST(TriggerEngineTest, RestoreRefusesADuplicateNameWholesale) {
+  FakeSource source;
+  source.Set("a", 0.0);
+  TriggerEngine original(&source);
+  ASSERT_TRUE(original.Install("CREATE TRIGGER t ON a WHEN a > 1", 0).ok());
+  ASSERT_TRUE(original.Install("CREATE TRIGGER u ON a WHEN a > 1", 0).ok());
+  ByteWriter out;
+  original.SerializeTo(&out);
+  std::string bytes(out.str());
+  const size_t at = bytes.find("CREATE TRIGGER u ");
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, 17, "CREATE TRIGGER t ");
+
+  TriggerEngine target(&source);
+  ASSERT_TRUE(target.Install("CREATE TRIGGER other ON a WHEN a > 2", 0).ok());
+  Status restored = target.RestoreFrom(bytes);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.message().find("already installed"),
+            std::string_view::npos)
+      << restored;
+  EXPECT_EQ(target.num_triggers(), 1u);
+  EXPECT_TRUE(target.Has("other"));
+  EXPECT_FALSE(target.Has("t"));
+}
+
+// `a > ` a balanced sum of 1,100 distinct literals (11 operators deep):
+// a statement Install accepts must come back from its own checkpoint.
+std::string BalancedSum(int lo, int hi) {
+  if (hi - lo == 1) return std::to_string(lo);
+  const int mid = lo + (hi - lo) / 2;
+  return "(" + BalancedSum(lo, mid) + " + " + BalancedSum(mid, hi) + ")";
+}
+
 // Full-stack: QueryEngine checkpoint taken mid-cooldown restores the
 // trigger store and keeps suppressing until the cooldown elapses.
 TEST(TriggerEngineTest, QueryEngineCheckpointMidCooldown) {
@@ -341,6 +377,60 @@ TEST(TriggerEngineTest, QueryEngineCheckpointMidCooldown) {
   // refire after it either (no falling edge ever happens).
   feed(restored, 100, 1000);
   EXPECT_FALSE(restored.has_pending_trigger_firings());
+  std::remove(path.c_str());
+}
+
+TEST(TriggerEngineTest, LargeStatementSurvivesCheckpointAndFiresLikeTwin) {
+  Schema schema({{"Source", 64}, {"Destination", 16}});
+  ImplicationQuerySpec spec;
+  spec.a_attributes = {"Source"};
+  spec.b_attributes = {"Destination"};
+  spec.conditions.max_multiplicity = 1;
+  spec.conditions.min_support = 1;
+  spec.conditions.min_top_confidence = 1.0;
+  spec.conditions.confidence_c = 1;
+  spec.estimator.kind = EstimatorKind::kExact;
+  spec.label = "flows";
+  // Row i: a fresh source per tuple, each with one destination, so the
+  // exact count reads i + 1 after tuple i.
+  auto feed = [](QueryEngine& engine, uint64_t begin, uint64_t end) {
+    for (uint64_t i = begin; i < end; ++i) {
+      std::vector<ValueId> row = {static_cast<ValueId>(i % 64),
+                                  static_cast<ValueId>(i % 16)};
+      engine.ObserveTuple(TupleRef(row.data(), row.size()));
+    }
+  };
+  // The literals 1..1100 sum to 605,550 exactly, so this fires once the
+  // count exceeds 40.
+  const std::string statement = "CREATE TRIGGER big ON flows WHEN flows > " +
+                                BalancedSum(1, 1101) +
+                                " - 605510 EVERY 4 TUPLES";
+  ASSERT_GT(statement.size(), 6000u);
+
+  QueryEngine twin(schema);
+  ASSERT_TRUE(twin.Register(spec).ok());
+  ASSERT_TRUE(twin.InstallTrigger(statement).ok());
+  feed(twin, 0, 32);
+  EXPECT_FALSE(twin.has_pending_trigger_firings());
+
+  std::string path = testing::TempDir() + "/cql_trigger_large_statement.bin";
+  ASSERT_TRUE(twin.Checkpoint(path).ok());
+  QueryEngine restored(schema);
+  Status status = restored.Restore(path);
+  ASSERT_TRUE(status.ok()) << status;
+  ASSERT_NE(restored.triggers(), nullptr);
+  ASSERT_TRUE(restored.triggers()->Has("big"));
+
+  feed(twin, 32, 64);
+  feed(restored, 32, 64);
+  auto twin_firings = twin.TakeTriggerFirings();
+  auto restored_firings = restored.TakeTriggerFirings();
+  ASSERT_EQ(twin_firings.size(), 1u);
+  EXPECT_EQ(twin_firings[0].epoch, 44u);  // first epoch with count > 40
+  ASSERT_EQ(restored_firings.size(), 1u);
+  EXPECT_EQ(restored_firings[0].trigger, "big");
+  EXPECT_EQ(restored_firings[0].epoch, twin_firings[0].epoch);
+  EXPECT_EQ(restored_firings[0].value, twin_firings[0].value);
   std::remove(path.c_str());
 }
 

@@ -745,6 +745,151 @@ TEST(StateFuzzTest, DanglingSynopsisReferencesRefuseRestore) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// kTriggerStore section robustness. Restore recompiles the statement
+// text the section carries, so hostile section bytes reach the trigger
+// parser. The section is the container's last field; these tests re-seal
+// both envelopes around each mutation so only the trigger store can
+// object, and a refusal must leave the engine fresh.
+// ---------------------------------------------------------------------------
+
+// Counts sources seen with exactly one destination.
+ImplicationQuerySpec LabeledSpec() {
+  ImplicationQuerySpec spec = SharingSpec();
+  spec.conditions.max_multiplicity = 1;
+  spec.conditions.min_support = 1;
+  spec.conditions.min_top_confidence = 1.0;
+  spec.conditions.confidence_c = 1;
+  spec.label = "flows";
+  return spec;
+}
+
+// Two armed triggers: `ramp` fired at tuple 20 and is mid-cooldown with
+// 5 of its 8 MOVING_AVG samples filled; `quiet` has never fired.
+QueryEngine* ArmedEngine(QueryEngine* engine) {
+  EXPECT_TRUE(engine->Register(LabeledSpec()).ok());
+  EXPECT_TRUE(engine
+                  ->InstallTrigger("CREATE TRIGGER ramp ON flows WHEN "
+                                   "MOVING_AVG(flows, 8) >= 4 EVERY 20 TUPLES "
+                                   "COOLDOWN 100000")
+                  .ok());
+  EXPECT_TRUE(engine
+                  ->InstallTrigger("CREATE TRIGGER quiet ON flows WHEN "
+                                   "DELTA(flows) > 1000 AND flows > 0 "
+                                   "EVERY 50 TUPLES")
+                  .ok());
+  std::vector<ValueId> row(2);
+  for (uint64_t i = 0; i < 100; ++i) {
+    row[0] = static_cast<ValueId>(i % 63);
+    row[1] = static_cast<ValueId>(i % 17);
+    engine->ObserveTuple(TupleRef(row.data(), row.size()));
+  }
+  EXPECT_EQ(engine->TakeTriggerFirings().size(), 1u);
+  return engine;
+}
+
+// An engine checkpoint split around its trigger section.
+struct TriggerSplit {
+  std::string snapshot;       // the whole checkpoint
+  std::string head;           // container payload before the section
+  std::string trigger_bytes;  // the kTriggerStore envelope's payload
+};
+
+std::string TriggerSection(std::string_view trigger_bytes) {
+  ByteWriter out;
+  out.PutLengthPrefixed(WrapSnapshot(SnapshotKind::kTriggerStore, trigger_bytes));
+  return out.Release();
+}
+
+TriggerSplit SplitTriggerSection() {
+  QueryEngine engine(SharingSchema());
+  ArmedEngine(&engine);
+  TriggerSplit out;
+  auto snapshot = engine.SerializeState();
+  EXPECT_TRUE(snapshot.ok());
+  out.snapshot = std::move(*snapshot);
+  ByteWriter trigger_bytes;
+  engine.triggers()->SerializeTo(&trigger_bytes);
+  out.trigger_bytes = trigger_bytes.Release();
+  auto payload = UnwrapSnapshot(out.snapshot, SnapshotKind::kQueryEngineV2);
+  EXPECT_TRUE(payload.ok());
+  const std::string section = TriggerSection(out.trigger_bytes);
+  EXPECT_TRUE(payload->ends_with(section));
+  out.head = std::string(payload->substr(0, payload->size() - section.size()));
+  return out;
+}
+
+std::string ResealTriggers(const TriggerSplit& split,
+                           std::string_view trigger_bytes) {
+  return WrapSnapshot(SnapshotKind::kQueryEngineV2,
+                      split.head + TriggerSection(trigger_bytes));
+}
+
+void ExpectFresh(const QueryEngine& victim) {
+  EXPECT_EQ(victim.num_queries(), 0);
+  EXPECT_EQ(victim.num_synopses(), 0);
+  EXPECT_EQ(victim.tuples_seen(), 0u);
+  EXPECT_EQ(victim.triggers(), nullptr);
+}
+
+TEST(StateFuzzTest, TriggerSectionTruncationsRefuseAndLeaveTheEngineFresh) {
+  const TriggerSplit split = SplitTriggerSection();
+  for (size_t len = 0; len < split.trigger_bytes.size(); ++len) {
+    QueryEngine victim(SharingSchema());
+    Status status = victim.RestoreState(
+        ResealTriggers(split, split.trigger_bytes.substr(0, len)));
+    EXPECT_FALSE(status.ok()) << "truncated trigger section restored at len "
+                              << len;
+    ExpectFresh(victim);
+    ASSERT_TRUE(victim.RestoreState(split.snapshot).ok());
+  }
+}
+
+TEST(StateFuzzTest, TriggerSectionBitflipsRefuseOrRestoreCleanly) {
+  const TriggerSplit split = SplitTriggerSection();
+  Rng rng(59);
+  std::vector<ValueId> row(2);
+  for (int iter = 0; iter < 400; ++iter) {
+    std::string mutated = split.trigger_bytes;
+    int flips = 1 + static_cast<int>(rng.Uniform(5));
+    for (int f = 0; f < flips; ++f) {
+      size_t pos = rng.Uniform(mutated.size());
+      mutated[pos] ^= static_cast<char>(1 << rng.Uniform(8));
+    }
+    QueryEngine victim(SharingSchema());
+    Status status = victim.RestoreState(ResealTriggers(split, mutated));
+    if (!status.ok()) {
+      ExpectFresh(victim);
+      EXPECT_TRUE(victim.RestoreState(split.snapshot).ok());
+      continue;
+    }
+    // An accepted section must evaluate and serialize like any other.
+    for (uint64_t i = 0; i < 200; ++i) {
+      row[0] = static_cast<ValueId>(i % 63);
+      row[1] = static_cast<ValueId>(i % 17);
+      victim.ObserveTuple(TupleRef(row.data(), row.size()));
+    }
+    (void)victim.TakeTriggerFirings();
+    EXPECT_TRUE(victim.SerializeState().ok());
+  }
+}
+
+// The version-1 section (statement plus bytecode program) has no reader:
+// its version byte refuses it before anything else is read.
+TEST(StateFuzzTest, VersionOneTriggerSectionIsRefused) {
+  const TriggerSplit split = SplitTriggerSection();
+  std::string old_version = split.trigger_bytes;
+  old_version[0] = 1;
+  QueryEngine victim(SharingSchema());
+  Status status = victim.RestoreState(ResealTriggers(split, old_version));
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unsupported version 1"),
+            std::string_view::npos)
+      << status;
+  ExpectFresh(victim);
+  EXPECT_TRUE(victim.RestoreState(split.snapshot).ok());
+}
+
 TEST(CsvFuzzTest, RandomTextNeverCrashes) {
   Rng rng(6);
   for (int iter = 0; iter < 2000; ++iter) {
